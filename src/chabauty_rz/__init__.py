@@ -1,7 +1,7 @@
 """Exact arithmetic on the space of closed subgroups of R x Z.
 
 Canonical four-family subgroup values, the Chabauty (pointed-Hausdorff)
-metric with exact rational brackets, chart maps onto the cone / Hawaiian
+metric computed exactly, chart maps onto the cone / Hawaiian
 earring model space, a constructive circle blow-up with its gluing, and
 seeded verification suites behind a CLI.
 """
@@ -31,8 +31,11 @@ from .metric import (
     InvalidSequence,
     LimitReport,
     ToleranceInvalid,
+    Witness,
     chabauty_distance,
+    distance_witness,
     hausdorff_inclusion_ok,
+    side_sup,
     subgroup_subset,
     verify_limit,
 )
@@ -88,7 +91,7 @@ from .equivalence import (
     check_equivalence,
     subgroup_image,
 )
-from .literals import ParseError, format_subgroup, parse_subgroup
+from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
 from .suites import CaseResult, SuiteReport, UnknownSuite, run_suite
 from .cli import run_cli
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .rationals import fmt_q
@@ -29,7 +28,7 @@ from .earring import (
     winding_count,
 )
 from .denjoy import UnresolvedSample, winding_count_sampled
-from .literals import ParseError, format_subgroup, parse_subgroup
+from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
 from .plot import write_model_svg
 from .suites import UnknownSuite, run_suite
 
@@ -42,16 +41,6 @@ _DOMAIN_ERRORS = (
     UnresolvedSample,
     OSError,
 )
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,12 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dist", help="Chabauty distance bracket")
     d.add_argument("left")
     d.add_argument("right")
-    d.add_argument("--tol", type=_rational, default=Fraction(1, 1000))
+    d.add_argument("--tol", default="1/1000", help="rational <q>")
 
     l = sub.add_parser("limit", help="verify a sequence's limit")
     l.add_argument("--seq", required=True, help="file with one literal per line")
     l.add_argument("--limit", required=True)
-    l.add_argument("--tol", type=_rational, default=Fraction(1, 100))
+    l.add_argument("--tol", default="1/100", help="rational <q>")
     l.add_argument("--tail", type=int, default=3)
 
     m = sub.add_parser("model", help="model-space coordinate of a subgroup")
@@ -139,7 +128,9 @@ def _dispatch(args, out) -> int:
 
     if args.command == "dist":
         br = chabauty_distance(
-            parse_subgroup(args.left), parse_subgroup(args.right), args.tol
+            parse_subgroup(args.left),
+            parse_subgroup(args.right),
+            parse_rational(args.tol),
         )
         print(f"[{fmt_q(br.lo)},{fmt_q(br.hi)}]", file=out)
         return 0
@@ -147,7 +138,7 @@ def _dispatch(args, out) -> int:
     if args.command == "limit":
         seq = _read_sequence(args.seq)
         limit = parse_subgroup(args.limit)
-        report = verify_limit(seq, limit, args.tol, args.tail)
+        report = verify_limit(seq, limit, parse_rational(args.tol), args.tail)
         for i, br in enumerate(report.distances, start=1):
             print(f"term {i}: [{fmt_q(br.lo)},{fmt_q(br.hi)}]", file=out)
         print(f"result {'pass' if report.passed else 'fail'}", file=out)

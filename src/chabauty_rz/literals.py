@@ -80,7 +80,10 @@ class _Cursor:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # beyond the interpreter's int-digit limit
+            raise ParseError(f"integer of {self.pos - digits} digits is too long", start) from exc
 
     def rational(self) -> Fraction:
         start = self.pos
@@ -122,6 +125,14 @@ def parse_subgroup(text: str) -> ClosedSubgroup:
             c.done()
             return H
     raise ParseError("expected a family name or 'gen'", c.pos)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational ``<q>``: an integer or numerator/denominator."""
+    c = _Cursor(text)
+    q = c.rational()
+    c.done()
+    return q
 
 
 def _family_body(c: _Cursor, family: str) -> ClosedSubgroup:

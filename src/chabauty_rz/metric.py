@@ -2,13 +2,22 @@
 
 d(H, H') is the infimum of the eps > 0 such that each group, intersected
 with the closed ball B(0, 1/eps), lies in the open eps-neighbourhood of
-the other.  With the closed-ball / open-neighbourhood convention the
-two-sided predicate is monotone in eps, so the infimum is bracketed by
-exact rational bisection.
+the other.  With the closed-ball / open-neighbourhood convention a point
+p of H breaks that predicate exactly for eps <= min(1/|p|, delta(p, H')),
+so the infimum has the closed form
 
-Both groups contain the identity, so the predicate always holds at
-eps = 2: everything in B(0, 1/2) is within 1/2 < 2 of the identity of
-the other group.  That gives the fixed initial bracket [0, 2].
+    d(H, H') = max(S(H, H'), S(H', H)),
+    S(H, H') = sup over p in H of min(1/|p|, delta(p, H')),
+
+and it is attained.  ``chabauty_distance`` computes it from critical
+values on the integer level sets of ``subgroups.scaled_levels``: a finite
+set of candidate points for a discrete group, a closed form for a strip
+(I(inf), IV(n)).  d is always rational and comes back as [d, d].
+
+``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
+predicate at a given eps, computed by ball enumeration and interval
+cover; it shares nothing with the critical-value computation and serves
+as its oracle.
 """
 
 from __future__ import annotations
@@ -16,20 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .rationals import as_fraction, is_inf
 from .subgroups import (
     LINE,
     ClosedSubgroup,
+    IntLevels,
+    PointRZ,
     TypeI,
     TypeII,
     TypeIII,
     TypeIV,
     distance_point_to_subgroup,
     elements_in_ball,
+    level_denominator,
     level_set,
     membership,
+    scaled_levels,
 )
 
 
@@ -159,33 +172,178 @@ def _open_intervals_cover(intervals, a: Fraction, b: Fraction) -> bool:
             return True
 
 
-def _predicate(H: ClosedSubgroup, H2: ClosedSubgroup, eps: Fraction) -> bool:
-    return hausdorff_inclusion_ok(H, H2, eps) and hausdorff_inclusion_ok(H2, H, eps)
+class Witness(NamedTuple):
+    """One side S(inner, outer) of the distance and a point attaining it.
+
+    ``point`` lies in ``inner`` and has min(1/|point|, delta(point, outer))
+    == ``value``; it is None when the value is 0 (inner lies in outer).
+    """
+
+    value: Fraction
+    point: Optional[PointRZ]
+    inner: ClosedSubgroup
+    outer: ClosedSubgroup
+
+
+def side_sup(A: ClosedSubgroup, B: ClosedSubgroup) -> Witness:
+    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)), with a witness.
+
+    Only the level of B through p matters: any other level is at height
+    distance >= 1, while min(1/|p|, dist(x, B_m)) <= 1 (for |p| < 1 the
+    point lies on level 0 and B_0 contains 0).  So a point (x, m) scores
+    min(1/max(|x|, |m|), dist(x, B_m)), with dist(x, empty) = infinity.
+    Both groups are symmetric under p -> -p, so only levels m >= 0 are
+    walked, and only while 1/m can still beat the best score.
+    """
+    if subgroup_subset(A, B):
+        return Witness(Fraction(0), None, A, B)
+    D = lcm(level_denominator(A), level_denominator(B))
+    Al, Bl = scaled_levels(A, D), scaled_levels(B, D)
+    value, point = (_strip_sup if Al.line else _discrete_sup)(Al, Bl, D)
+    return Witness(value, point, A, B)
+
+
+def _discrete_sup(A: IntLevels, B: IntLevels, D: int):
+    """S for a discrete A, all in ints scaled by D.
+
+    The best score is kept as the fraction bn/bd.  A point (X, m) has
+    1/|p| = D/a with a = max(|X|, m*D), so only points with a*bn < D*bd
+    can beat the best score.  When B's level is a lattice, dist is
+    periodic along A's level with period P = s/gcd(g, s) steps, so the
+    point of least |X| in each of the P residue classes suffices, taken
+    in decreasing order of dist until dist/D cannot beat the best score;
+    the points inside the bound are enumerated instead when they are
+    fewer than P.
+    """
+    DD = D * D
+    bn, bd, wx, wm = 0, 1, 0, 0
+
+    def consider(X: int, m: int, Bm) -> None:
+        nonlocal bn, bd, wx, wm
+        if Bm is LINE:
+            return
+        a = max(abs(X), m * D)
+        if Bm is None:
+            vn, vd = D, a
+        else:
+            o, s = Bm
+            if s:
+                r = (X - o) % s
+                dist = min(r, s - r)
+            else:
+                dist = abs(X - o)
+            vn, vd = (D, a) if DD <= a * dist else (dist, D)
+        if vn * bd > bn * vd:
+            bn, bd, wx, wm = vn, vd, X, m
+
+    # Seed from A's generators; A is not inside B, so one of them scores > 0.
+    # Also from level 0's points next to x = 1: there 1/|x| = 1 caps no
+    # distance below 1, so they often score near the sup, which keeps the
+    # walk below short.
+    if A.g:
+        B0, near = B.at(0), D - D % A.g
+        for X in {A.g, near, near + A.g} - {0}:
+            consider(X, 0, B0)
+    if A.n:
+        consider(A.q, A.n, B.at(A.n))
+
+    m = 0
+    while m == 0 or m * bn < bd:
+        Bm = B.at(m)
+        if Bm is not LINE:
+            o, g = A.at(m)
+            if g == 0:
+                consider(o, m, Bm)
+            elif Bm is None:
+                consider(o if 2 * o <= g else o - g, m, Bm)
+            else:
+                oB, s = Bm
+                h = gcd(g, s)
+                period = s // h if s else 0
+                if 0 < period <= 2 * D * bd // (bn * g) + 2:
+                    # Classes by their distance t to B's level, largest
+                    # first: X = o + g*k lies at t iff g*k = oB +- t - o
+                    # (mod s), and a class scores at most t/D.
+                    inv, L = pow(g // h, -1, period), g * period
+                    for t in _descending(s // 2, h, {(o - oB) % h, (oB - o) % h}):
+                        if t * bd <= bn * D:
+                            break
+                        for c in (oB + t - o, oB - t - o):
+                            if c % h == 0:
+                                X = (o + g * (c // h * inv % period)) % L
+                                consider(X if 2 * X <= L else X - L, m, Bm)
+                else:
+                    # Outward from 0 in order of |X|, while the bound holds.
+                    right, left, mD = o, o - g, m * D
+                    while True:
+                        if right <= -left:
+                            X, right = right, right + g
+                        else:
+                            X, left = left, left - g
+                        if max(abs(X), mD) * bn >= D * bd:
+                            break
+                        consider(X, m, Bm)
+        if not A.n:
+            break
+        m += A.n
+    return Fraction(bn, bd), PointRZ(Fraction(wx, D), wm)
+
+
+def _descending(top: int, h: int, residues) -> Iterator[int]:
+    """The t in [1, top] with t mod h in ``residues``, largest first."""
+    starts = sorted({top - (top - c) % h for c in residues}, reverse=True)
+    for base in range(0, top, h):
+        for t0 in starts:
+            if t0 - base >= 1:
+                yield t0 - base
+
+
+def _strip_sup(A: IntLevels, B: IntLevels, D: int):
+    """S for a strip A (I(inf) or IV(n)), in closed form.
+
+    Level 0 of B holds 0.  If it is a single point, x = 1 scores 1, the
+    most any point can.  If it is a lattice s*Z, the tent dist(x, s*Z)
+    meets 1/|x| at x = 1 when s >= 2, else peaks at x = s/2 below it: the
+    level scores min(1, s/2).  A level m >= 1 where B is a lattice of the
+    same spacing scores at most min(1/m, s/2), never more than level 0, so
+    beyond level 0 only empty levels of B count, each with 1/m at (0, m);
+    the lowest one wins.  Hence S is always rational.
+    """
+    best, point = Fraction(0), None
+    B0 = B.at(0)
+    if B0 is not LINE:
+        s = B0[1]
+        best = Fraction(min(2 * D, s), 2 * D) if s else Fraction(1)
+        point = PointRZ(best, 0)  # the maximiser x equals its score
+    m = A.n
+    while m and m * best < 1:
+        if B.at(m) is None:
+            return Fraction(1, m), PointRZ(Fraction(0), m)
+        m += A.n
+    return best, point
+
+
+def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
+    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H))."""
+    a, b = side_sup(H, H2), side_sup(H2, H)
+    return b if b.value > a.value else a
 
 
 def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBracket:
-    """Bracket [lo, hi] of width <= tol around d(H, H2).
+    """The distance d(H, H2) as the exact bracket [d, d].
 
-    Canonically equal subgroups short-circuit to [0, 0]; the exact layer
-    makes "distance zero" synonymous with equality.
+    d = max(S(H, H2), S(H2, H)), S as in ``side_sup``; it is always
+    rational (see ``_strip_sup`` for the strips), so lo == hi.  ``tol``
+    bounds the bracket width, which is 0; it must still be > 0.  Equal
+    subgroups give [0, 0].
     """
     tol = as_fraction(tol)
     if tol <= 0:
         raise ToleranceInvalid("tol must be > 0")
     if H == H2:
         return DistanceBracket(Fraction(0), Fraction(0))
-
-    lo, hi = Fraction(0), Fraction(2)
-    while not _predicate(H, H2, hi):  # safety net; see module docstring
-        lo = hi
-        hi *= 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _predicate(H, H2, mid):
-            hi = mid
-        else:
-            lo = mid
-    return DistanceBracket(lo, hi)
+    d = distance_witness(H, H2).value
+    return DistanceBracket(d, d)
 
 
 @dataclass(frozen=True)

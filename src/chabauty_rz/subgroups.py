@@ -244,6 +244,75 @@ def level_set(H: ClosedSubgroup, m: int):
     raise TypeError(f"not a subgroup value: {H!r}")
 
 
+class IntLevels(NamedTuple):
+    """H with its first coordinate scaled by an integer D, in ints.
+
+    The scaled group {(D*x, m) : (x, m) in H} is Z*(g, 0) + Z*(q, n) with
+    integers g >= 0 and n >= 0.  n == 0 means only level 0 is occupied;
+    g == 0 means each occupied level is a single point; ``line`` means
+    each occupied level is a whole line (g and q are then 0).
+    """
+
+    g: int
+    q: int
+    n: int
+    line: bool
+
+    def at(self, m: int):
+        """Level m: None (empty), LINE, or (offset, spacing) for
+        offset + spacing*Z; spacing 0 is the single point {offset}, and
+        for spacing > 0 the offset lies in [0, spacing)."""
+        if self.n:
+            k, rem = divmod(m, self.n)
+            if rem:
+                return None
+        elif m:
+            return None
+        else:
+            k = 0
+        if self.line:
+            return LINE
+        if self.g:
+            return ((k * self.q) % self.g, self.g)
+        return (k * self.q, 0)
+
+
+def level_denominator(H: ClosedSubgroup) -> int:
+    """Least D > 0 for which ``scaled_levels(H, D)`` is integral: the lcm of
+    the denominators of H's generators' first coordinates."""
+    if isinstance(H, TypeI):
+        return 1 if is_inf(H.alpha) or H.alpha == 0 else H.alpha.numerator
+    if isinstance(H, TypeII):
+        return H.gamma.denominator
+    if isinstance(H, TypeIII):
+        return lcm(H.alpha.numerator, (H.beta / H.alpha).denominator)
+    if isinstance(H, TypeIV):
+        return 1
+    raise TypeError(f"not a subgroup value: {H!r}")
+
+
+def scaled_levels(H: ClosedSubgroup, D: int) -> IntLevels:
+    """The integer level sets of H scaled by D, a multiple of
+    ``level_denominator(H)``."""
+    if isinstance(H, TypeI):
+        if is_inf(H.alpha):
+            return IntLevels(0, 0, 0, True)
+        if H.alpha == 0:
+            return IntLevels(0, 0, 0, False)
+        return IntLevels(D * H.alpha.denominator // H.alpha.numerator, 0, 0, False)
+    if isinstance(H, TypeII):
+        return IntLevels(0, D * H.gamma.numerator // H.gamma.denominator, H.n, False)
+    if isinstance(H, TypeIII):
+        g = D * H.alpha.denominator // H.alpha.numerator
+        q = D * H.beta.numerator * H.alpha.denominator // (
+            H.beta.denominator * H.alpha.numerator
+        )
+        return IntLevels(g, q % g, H.n, False)
+    if isinstance(H, TypeIV):
+        return IntLevels(0, 0, H.n, True)
+    raise TypeError(f"not a subgroup value: {H!r}")
+
+
 def membership(H: ClosedSubgroup, p: Tuple) -> bool:
     """Exact membership test for a rational point."""
     x, m = as_fraction(p[0]), int(p[1])

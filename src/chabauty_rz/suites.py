@@ -282,7 +282,7 @@ CONVERGENCE_SCRIPTS: List[Tuple[str, Callable[[int], ClosedSubgroup], ClosedSubg
     ("f-cyclic-growing-level", lambda k: TypeII(Fraction(3, 2), k), TypeI(Fraction(0))),
 ]
 
-CONVERGENCE_TOL = Fraction(1, 100)   # bisection tolerance
+CONVERGENCE_TOL = Fraction(1, 100)   # distance bracket tolerance
 CONVERGENCE_PASS = Fraction(1, 10)   # required bracket hi at the final k
 
 

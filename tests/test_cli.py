@@ -32,6 +32,17 @@ class TestClassify:
         code, _ = run(["classify", "I(alpha=-2)"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "I(alpha=" + "9" * 5000 + ")"],
+        ["dist", "I(alpha=1)", "I(alpha=2)", "--tol", "1/" + "9" * 5000],
+    ])
+    def test_overlong_integer_is_a_parse_error(self, argv, capsys):
+        code, _ = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
 
 class TestDist:
     def test_bracket_contains_hand_value(self):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
@@ -14,7 +14,11 @@ from chabauty_rz import (
     TypeIII,
     TypeIV,
     chabauty_distance,
+    distance_point_to_subgroup,
+    distance_witness,
     hausdorff_inclusion_ok,
+    membership,
+    parse_subgroup,
     subgroup_subset,
     verify_limit,
 )
@@ -42,6 +46,56 @@ class TestHandDistances:
     def test_distinct_groups_have_positive_distance(self):
         br = chabauty_distance(TypeII(F(0), 2), TypeII(F(0), 3), TOL)
         assert br.hi > 0 and br != (0, 0)
+
+
+#: Pairs with their exact distances: close lattices, a sheared pair, strips.
+EXACT = [
+    ("I(alpha=10)", "I(alpha=11)", F(1, 22)),
+    ("I(alpha=1)", "I(alpha=2)", F(1, 2)),
+    ("III(alpha=20,beta=0,n=1)", "III(alpha=21,beta=0,n=1)", F(1, 42)),
+    ("I(alpha=1000)", "I(alpha=1001)", F(1, 2002)),
+    ("III(alpha=4,beta=1/3,n=1)", "III(alpha=5,beta=2/5,n=1)", F(37, 300)),
+    ("I(alpha=inf)", "IV(n=1)", F(1)),
+]
+
+
+class TestExactDistances:
+    @pytest.mark.parametrize("left,right,d", EXACT)
+    def test_exact_value(self, left, right, d):
+        H, K = parse_subgroup(left), parse_subgroup(right)
+        assert chabauty_distance(H, K, TOL) == DistanceBracket(d, d)
+        assert chabauty_distance(K, H, TOL) == DistanceBracket(d, d)
+
+    @pytest.mark.parametrize("left,right,d", EXACT)
+    def test_witness_attains_distance(self, left, right, d):
+        w = distance_witness(parse_subgroup(left), parse_subgroup(right))
+        assert w.value == d
+        p = w.point
+        assert membership(w.inner, p)
+        size = max(abs(p.x), abs(p.level))
+        assert min(1 / F(size), distance_point_to_subgroup(p, w.outer)) == d
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroups_st(), subgroups_st())
+    # Maximisers left of 0 on a level above 0:
+    @example(TypeIII(F(3, 4), F(4, 5), 1), TypeIII(F(2, 3), F(1, 2), 1))
+    @example(TypeIII(F(1, 9), F(1, 6), 3), TypeII(F(3, 2), 3))
+    # Maximiser on a level where the other group is empty:
+    @example(TypeII(F(1), 4), TypeIII(F(1, 8), F(6, 7), 1))
+    # Maximisers found by solving g*k = oB +- t - o (mod s) for a class:
+    @example(TypeI(F(7, 2)), TypeI(F(7, 9)))
+    @example(TypeIII(F(2, 3), F(0), 1), TypeIII(F(2), F(5, 7), 1))
+    def test_agrees_with_inclusion_predicate(self, H, K):
+        # The predicate breaks exactly for eps <= d and holds above it.
+        br = chabauty_distance(H, K, TOL)
+        assert br.lo == br.hi
+        if br.lo > 0:
+            assert not (
+                hausdorff_inclusion_ok(H, K, br.lo)
+                and hausdorff_inclusion_ok(K, H, br.lo)
+            )
+        eps = br.hi + F(1, 10**9)
+        assert hausdorff_inclusion_ok(H, K, eps) and hausdorff_inclusion_ok(K, H, eps)
 
 
 class TestPredicate:
