@@ -30,7 +30,7 @@ from .earring import (
 from .denjoy import UnresolvedSample, winding_count_sampled
 from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
 from .plot import write_model_svg
-from .suites import UnknownSuite, run_suite
+from .suites import SUITE_NAMES, UnknownSuite, run_suite
 
 _DOMAIN_ERRORS = (
     InvalidParameter,
@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--prec", type=int, default=64)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True)
+    v.add_argument("--suite", required=True,
+                   help=f"one of {', '.join(SUITE_NAMES)}, or 'all' for each in turn")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--budget", type=int, default=100)
     v.add_argument("--json", action="store_true")
@@ -105,7 +106,7 @@ def _read_sequence(path: str):
             try:
                 seq.append(parse_subgroup(line))
             except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}", exc.position)
+                raise ParseError(exc.message, exc.position, f"{path}:{lineno}") from exc
     return seq
 
 
@@ -159,9 +160,13 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "verify":
-        report = run_suite(args.suite, args.seed, args.budget)
-        print(report.to_json() if args.json else report.to_text(), file=out)
-        return 0 if report.passed else 1
+        names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+        passed = True
+        for name in names:
+            report = run_suite(name, args.seed, args.budget)
+            print(report.to_json() if args.json else report.to_text(), file=out)
+            passed = passed and report.passed
+        return 0 if passed else 1
 
     if args.command == "plot":
         write_model_svg(args.out, args.circles, args.cones)

@@ -34,10 +34,13 @@ from .subgroups import (
 
 
 class ParseError(ValueError):
-    """Invalid subgroup literal; carries the offending position."""
+    """Invalid subgroup literal; carries the bare message, the offending
+    position and, for literals read from a file, the ``file:line`` source."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"at position {position}: {message}")
+    def __init__(self, message: str, position: int, source: str = ""):
+        prefix = f"{source}: " if source else ""
+        super().__init__(f"{prefix}at position {position}: {message}")
+        self.message = message
         self.position = position
 
 

@@ -17,6 +17,7 @@ from typing import Callable, List, Tuple
 from .rationals import INF, fmt_q
 from .subgroups import (
     ClosedSubgroup,
+    InvalidParameter,
     TypeI,
     TypeII,
     TypeIII,
@@ -389,6 +390,7 @@ _SUITES = {
     "winding": _suite_winding,
     "equivalence": _suite_equivalence,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
@@ -396,7 +398,7 @@ def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
     if budget <= 0:
-        raise ValueError("budget must be positive")
+        raise InvalidParameter("budget must be positive")
     rng = random.Random(seed)
     cases = _SUITES[name](rng, budget)
     return SuiteReport(name, seed, tuple(cases))

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chabauty_rz
 from chabauty_rz import run_cli
-from chabauty_rz.suites import UnknownSuite, run_suite
+from chabauty_rz.suites import SUITE_NAMES, UnknownSuite, run_suite
 
 
 def run(argv):
@@ -91,6 +95,16 @@ class TestLimit:
         assert code == 1
         assert "result fail" in out
 
+    def test_parse_error_names_file_and_line_once(self, tmp_path, capsys):
+        seq = tmp_path / "bad.txt"
+        seq.write_text("II(gamma=8,n=1)\nbad\n", encoding="utf-8")
+        code, _ = run(["limit", "--seq", str(seq), "--limit", "I(alpha=0)"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"parse error: {seq}:2: at position 0: "
+            "expected a family name or 'gen'\n"
+        )
+
     def test_missing_file(self):
         code, _ = run(["limit", "--seq", "/no/such/file", "--limit", "I(alpha=0)"])
         assert code == 1
@@ -155,6 +169,22 @@ class TestVerify:
         code, _ = run(["verify", "--suite", "nope"])
         assert code == 1
 
+    def test_zero_budget_is_a_domain_error(self, capsys):
+        code, out = run(["verify", "--suite", "charts", "--budget", "0"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == "InvalidParameter: budget must be positive\n"
+        assert "Traceback" not in err
+
+    def test_all_suites_in_order(self):
+        code, out = run(["verify", "--suite", "all", "--budget", "1"])
+        lines = out.splitlines()
+        headers = [line for line in lines if line.startswith("suite ")]
+        results = [line for line in lines if line.startswith("result ")]
+        assert headers == [f"suite {name} seed 0" for name in SUITE_NAMES]
+        assert len(results) == len(SUITE_NAMES)
+        assert code == (0 if all(r == "result pass" for r in results) else 1)
+
 
 class TestPlot:
     def test_svg_output(self, tmp_path):
@@ -178,6 +208,27 @@ class TestUsage:
         a = run(["verify", "--suite", "metric", "--seed", "11", "--budget", "3"])
         b = run(["verify", "--suite", "metric", "--seed", "11", "--budget", "3"])
         assert a == b
+
+
+class TestRuntimeImports:
+    def test_no_sympy_or_numpy_at_runtime(self):
+        # A fresh interpreter, so modules the test session loaded do not count.
+        script = (
+            "import io, sys\n"
+            "import chabauty_rz\n"
+            "out = io.StringIO()\n"
+            "code = chabauty_rz.run_cli(['classify', 'gen[(1/2,0),(1/3,0)]'], out=out)\n"
+            "heavy = sorted(m for m in ('sympy', 'numpy') if m in sys.modules)\n"
+            "print(code, out.getvalue().strip(), heavy)\n"
+        )
+        src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 I(alpha=6) []"
 
 
 class TestSuiteApi:

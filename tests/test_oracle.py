@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from chabauty_rz import (
     oracle_closure_ball_sweep,
     totient,
 )
+from chabauty_rz.oracle import lattice_basis
 
 from strategies import generator_lists_st
 
@@ -63,6 +64,67 @@ class TestLatticeOracle:
     def test_points_in_radius(self, gens, r):
         for p in oracle_closure_ball(gens, r).points:
             assert abs(p.x) <= r and abs(p.level) <= r
+
+
+@pytest.fixture(scope="module")
+def sympy_hnf():
+    return pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
+
+
+def _sympy_basis(hnf, rows):
+    """(horiz, lev) read off sympy's Hermite normal form of the columns."""
+    from sympy import Matrix
+
+    H = hnf(Matrix([[p for p, _ in rows], [m for _, m in rows]]))
+    horiz, lev = None, None
+    for j in range(H.cols):
+        p, m = int(H[0, j]), int(H[1, j])
+        if m == 0:
+            horiz = abs(p)
+        else:
+            lev = (p, m) if m > 0 else (-p, -m)
+    return horiz, lev
+
+
+def _ball_from_basis(horiz, lev, d, r):
+    """Brute-force ball of the lattice Z(horiz, 0) + Z lev, scaled by 1/d."""
+    a, (q, n) = horiz or 0, lev or (0, 0)
+    # |i*a + j*q| <= r*d with |j| <= r and 0 <= q < a forces |i| <= r*d/a + r
+    bound = r * d // a + r + 1 if a else 0
+    points = set()
+    for j in range(-r, r + 1):
+        for i in range(-bound, bound + 1):
+            x, m = i * a + j * q, j * n
+            if abs(x) <= r * d and abs(m) <= r:
+                points.add(PointRZ(F(x, d), m))
+    return points
+
+
+class TestLatticeBasis:
+    @pytest.mark.parametrize("rows, want", [
+        ([(1, 1), (2, 2)], (None, (1, 1))),
+        ([(3, 0), (5, 0)], (1, None)),
+        ([(4, 2), (3, 3)], (6, (5, 1))),
+        ([(3, 2), (-5, 2), (7, 0)], (1, (0, 2))),
+        ([(1, -1)], (None, (-1, 1))),
+        ([(0, 0)], (None, None)),
+    ])
+    def test_known_bases(self, rows, want):
+        assert lattice_basis(rows) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_lists_st(), st.integers(1, 3))
+    def test_matches_sympy_hnf(self, sympy_hnf, gens, r):
+        rows = [(x, m) for x, m in gens if x or m]
+        if not rows:
+            return
+        d = lcm(*(x.denominator for x, _ in rows))
+        rows = [(int(x * d), m) for x, m in rows]
+        horiz, lev = _sympy_basis(sympy_hnf, rows)
+        assert lattice_basis(rows) == (horiz, lev)
+        assert oracle_closure_ball(gens, r).points == _ball_from_basis(
+            horiz, lev, d, r
+        )
 
 
 class TestTotient:
