@@ -41,16 +41,14 @@ from .metric import (
 )
 from .earring import (
     BASEPOINT,
+    AxisCoord,
     Basepoint,
     BoundaryPoint,
-    ConeInterior,
     ConePoint,
-    Earring,
     EarringPoint,
     ModelPoint,
     NonCanonicalModelPoint,
     OnCircle,
-    Segment,
     chart_psi_I,
     chart_psi_I_inverse,
     chart_psi_II_n,
@@ -85,7 +83,6 @@ from .oracle import (
     totient,
 )
 from .equivalence import (
-    AxisCoord,
     BoundaryCoord,
     Coordinate,
     check_equivalence,

@@ -20,10 +20,9 @@ from .metric import (
     verify_limit,
 )
 from .earring import (
-    ConeInterior,
-    Earring,
+    AxisCoord,
+    ConePoint,
     OnCircle,
-    Segment,
     subgroup_to_model,
     winding_count,
 )
@@ -112,13 +111,12 @@ def _read_sequence(path: str):
 
 def _model_text(H) -> str:
     m = subgroup_to_model(H)
-    if isinstance(m, Segment):
+    if isinstance(m, AxisCoord):
         return f"segment(alpha={fmt_q(m.alpha)})"
-    if isinstance(m, ConeInterior):
+    if isinstance(m, ConePoint):
         return f"cone(k={m.k},alpha={fmt_q(m.alpha)},beta={fmt_q(m.beta)})"
-    assert isinstance(m, Earring)
-    if isinstance(m.point, OnCircle):
-        return f"earring(circle={m.point.circle},t={fmt_q(m.point.t)})"
+    if isinstance(m, OnCircle):
+        return f"earring(circle={m.circle},t={fmt_q(m.t)})"
     return "earring(basepoint)"
 
 

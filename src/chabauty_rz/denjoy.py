@@ -28,7 +28,7 @@ from (0, 1) onto R; lambda in {0, 1} is the basepoint (t = -+oo).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,16 +96,10 @@ def blowup_interval_start(rational, max_denominator: int) -> Fraction:
     """Truncated arc position Psi_B of a blow-up interval's left endpoint."""
     f = as_fraction(rational)
     fracs, starts, _ = _layout(max_denominator)
-    lo, hi = 0, len(fracs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fracs[mid] < f:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == len(fracs) or fracs[lo] != f:
+    i = bisect_left(fracs, f)
+    if i == len(fracs) or fracs[i] != f:
         raise InvalidParameter("rational exceeds the precision's denominator bound")
-    return starts[lo]
+    return starts[i]
 
 
 def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:

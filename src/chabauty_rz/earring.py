@@ -17,9 +17,12 @@ maps identify each canonical subgroup with exactly one model point:
     cone k interior     <->  TypeIII(alpha, beta, k)   (alpha finite)
     cone k apex         <->  TypeIV(k)
 
-Cone-boundary coordinates (alpha = 0) are never stored: a boundary point
-is represented by its image on the earring, which makes model-point
-equality coincide with subgroup equality.
+Each kind of point has one type: ``AxisCoord`` on the segment,
+``ConePoint`` on cone k, and ``Basepoint`` / ``OnCircle`` on the earring.
+The global chart is the union of the psi charts of the strata.
+Cone-boundary coordinates (alpha = 0) are never the image of a subgroup: a
+boundary point is represented by its image on the earring, which makes
+model-point equality coincide with subgroup equality.
 """
 
 from __future__ import annotations
@@ -40,12 +43,25 @@ from .subgroups import (
 )
 
 
-class BoundaryPoint(ValueError):
+class NonCanonicalModelPoint(ValueError):
+    """A model coordinate that is not the image of any canonical subgroup."""
+
+
+class BoundaryPoint(NonCanonicalModelPoint):
     """A cone-boundary coordinate was passed to an interior-only chart."""
 
 
-class NonCanonicalModelPoint(ValueError):
-    pass
+@dataclass(frozen=True)
+class AxisCoord:
+    """Point of the cone-accumulation axis [0, INF]."""
+
+    alpha: ExtQ
+
+    def __post_init__(self):
+        if not is_inf(self.alpha):
+            object.__setattr__(self, "alpha", as_fraction(self.alpha))
+            if self.alpha < 0:
+                raise InvalidParameter("axis alpha must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,33 +116,7 @@ class ConePoint:
             raise InvalidParameter("cone beta must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class Segment:
-    alpha: ExtQ  # in (0, INF]
-
-    def __post_init__(self):
-        if not is_inf(self.alpha):
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-
-
-@dataclass(frozen=True)
-class ConeInterior:
-    k: int
-    alpha: ExtQ  # in (0, INF]
-    beta: Fraction
-
-    def __post_init__(self):
-        if not is_inf(self.alpha):
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-
-
-@dataclass(frozen=True)
-class Earring:
-    point: EarringPoint
-
-
-ModelPoint = Union[Segment, ConeInterior, Earring]
+ModelPoint = Union[AxisCoord, ConePoint, Basepoint, OnCircle]
 
 
 # -- psi charts --------------------------------------------------------------
@@ -183,38 +173,26 @@ def chart_psi_III_n_inverse(n: int, H: ClosedSubgroup) -> ConePoint:
 # -- the global model chart --------------------------------------------------
 
 def subgroup_to_model(H: ClosedSubgroup) -> ModelPoint:
-    if isinstance(H, TypeI):
-        if H.alpha == 0:
-            return Earring(BASEPOINT)
-        return Segment(H.alpha)
-    if isinstance(H, TypeII):
-        return Earring(OnCircle(H.n, H.gamma / H.n))
-    if isinstance(H, TypeIII):
-        return ConeInterior(H.n, H.alpha, H.beta)
-    if isinstance(H, TypeIV):
-        return ConeInterior(H.n, INF, Fraction(0))
+    if isinstance(H, TypeI) and H.alpha != 0:
+        return AxisCoord(chart_psi_I_inverse(H))
+    if isinstance(H, (TypeI, TypeII)):
+        return chart_psi_II_n_inverse(1, H)
+    if isinstance(H, (TypeIII, TypeIV)):
+        return chart_psi_III_n_inverse(H.n, H)
     raise TypeError(f"not a subgroup value: {H!r}")
 
 
 def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
-    if isinstance(m, Segment):
-        if not is_inf(m.alpha) and m.alpha <= 0:
+    if isinstance(m, AxisCoord):
+        if m.alpha == 0:
             raise NonCanonicalModelPoint(
-                "segment alpha must be > 0; alpha = 0 is the earring basepoint"
+                "axis alpha must be > 0; alpha = 0 is the earring basepoint"
             )
-        return TypeI(m.alpha)
-    if isinstance(m, ConeInterior):
-        if is_inf(m.alpha):
-            return TypeIV(m.k)
-        if m.alpha <= 0:
-            raise NonCanonicalModelPoint(
-                "cone interior requires alpha > 0; the boundary lives on the earring"
-            )
-        return TypeIII(m.alpha, m.beta, m.k)
-    if isinstance(m, Earring):
-        if isinstance(m.point, Basepoint):
-            return TypeI(Fraction(0))
-        return TypeII(m.point.circle * m.point.t, m.point.circle)
+        return chart_psi_I(m.alpha)
+    if isinstance(m, (Basepoint, OnCircle)):
+        return chart_psi_II_n(1, m)
+    if isinstance(m, ConePoint):
+        return chart_psi_III_n(m.k, m)
     raise TypeError(f"not a model point: {m!r}")
 
 

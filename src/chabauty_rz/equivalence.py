@@ -22,22 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .rationals import ExtQ, as_fraction, is_inf
-from .earring import OnCircle, chart_psi_II_n
+from .rationals import as_fraction, is_inf
+from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
-
-
-@dataclass(frozen=True)
-class AxisCoord:
-    """Point of the cone-accumulation axis [0, INF]."""
-
-    alpha: ExtQ
-
-    def __post_init__(self):
-        if not is_inf(self.alpha):
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-            if self.alpha < 0:
-                raise InvalidParameter("axis alpha must be >= 0")
 
 
 @dataclass(frozen=True)

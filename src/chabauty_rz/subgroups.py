@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .rationals import ExtQ, as_fraction, is_inf
 
@@ -327,13 +327,6 @@ def membership(H: ClosedSubgroup, p: Tuple) -> bool:
     return ((x - offset) / spacing).denominator == 1
 
 
-def _level_modulus(H: ClosedSubgroup) -> Optional[int]:
-    """Spacing of nonempty levels; None when only level 0 is occupied."""
-    if isinstance(H, TypeI):
-        return None
-    return H.n
-
-
 def elements_in_ball(H: ClosedSubgroup, r) -> BallElements:
     """Exact enumeration of H intersected with the closed ball B(0, r)."""
     r = as_fraction(r)
@@ -386,32 +379,16 @@ def _coset_distance(x: Fraction, offset: Fraction, spacing) -> Fraction:
 def distance_point_to_subgroup(p: Tuple, H: ClosedSubgroup) -> Fraction:
     """Exact delta-distance from a rational point to the closed set H."""
     x, m = as_fraction(p[0]), int(p[1])
-    n = _level_modulus(H)
-    if n is None:
-        candidates = [0]
-    else:
-        q0 = round(Fraction(m, n))
-        candidates = [q0 * n]
-
-    best = None
-    for lvl in candidates:
-        best = _distance_via_level(x, m, H, lvl)
-
+    if isinstance(H, TypeI):
+        return _distance_via_level(x, m, H, 0)
+    nearest = round(Fraction(m, H.n)) * H.n
+    best = _distance_via_level(x, m, H, nearest)
     # Any closer level must satisfy |m - lvl| < best.
-    if n is not None:
-        q0 = candidates[0] // n
-        q = q0
-        while True:
-            q += 1
-            if abs(m - q * n) >= best:
-                break
-            best = min(best, _distance_via_level(x, m, H, q * n))
-        q = q0
-        while True:
-            q -= 1
-            if abs(m - q * n) >= best:
-                break
-            best = min(best, _distance_via_level(x, m, H, q * n))
+    for step in (H.n, -H.n):
+        lvl = nearest + step
+        while abs(m - lvl) < best:
+            best = min(best, _distance_via_level(x, m, H, lvl))
+            lvl += step
     return best
 
 

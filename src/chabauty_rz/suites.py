@@ -42,6 +42,7 @@ from .earring import (
 )
 from .denjoy import blowup_total_length
 from .equivalence import AxisCoord, BoundaryCoord, check_equivalence, subgroup_image
+from .literals import format_subgroup
 from .oracle import oracle_closure_ball, totient
 
 
@@ -124,13 +125,6 @@ def random_generators(rng: random.Random, max_den: int = 12) -> List[Tuple]:
     return gens
 
 
-def _fmt_subgroup(H: ClosedSubgroup) -> str:
-    # local import would be circular through cli; literal formatting lives there
-    from .literals import format_subgroup
-
-    return format_subgroup(H)
-
-
 # -- individual suites -------------------------------------------------------
 
 def _suite_classification(rng: random.Random, budget: int) -> List[CaseResult]:
@@ -146,7 +140,7 @@ def _suite_classification(rng: random.Random, budget: int) -> List[CaseResult]:
             CaseResult(
                 f"classify-{i:03d}",
                 ok,
-                f"gens={gens} -> {_fmt_subgroup(H)}; "
+                f"gens={gens} -> {format_subgroup(H)}; "
                 f"{len(got.points)} ball points vs oracle {len(want.points)}",
             )
         )
@@ -204,7 +198,7 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
         H = random_subgroup(rng)
         ok = model_to_subgroup(subgroup_to_model(H)) == H
         cases.append(
-            CaseResult(f"model-roundtrip-{i:03d}", ok, _fmt_subgroup(H))
+            CaseResult(f"model-roundtrip-{i:03d}", ok, format_subgroup(H))
         )
 
     for i in range(budget):
@@ -218,7 +212,7 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
         ok = chart_psi_III_n_inverse(n, H) == c and (
             isinstance(H, TypeIV) or H.n == n
         )
-        cases.append(CaseResult(f"cone-roundtrip-{i:03d}", ok, f"{c} -> {_fmt_subgroup(H)}"))
+        cases.append(CaseResult(f"cone-roundtrip-{i:03d}", ok, f"{c} -> {format_subgroup(H)}"))
 
         p = OnCircle(rng.randint(1, 6), random_fraction(rng, 9, signed=True))
         H2 = chart_psi_II_n(n, p)
@@ -228,7 +222,7 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
             and H2.n % n == 0
         )
         cases.append(
-            CaseResult(f"earring-roundtrip-{i:03d}", ok2, f"{p} -> {_fmt_subgroup(H2)}")
+            CaseResult(f"earring-roundtrip-{i:03d}", ok2, f"{p} -> {format_subgroup(H2)}")
         )
 
         alpha = rng.choice([Fraction(0), INF, random_fraction(rng, 9)])
@@ -288,8 +282,7 @@ CONVERGENCE_PASS = Fraction(1, 10)   # required bracket hi at the final k
 
 
 def _suite_convergence(rng: random.Random, budget: int) -> List[CaseResult]:
-    kmax = max(8, min(64, budget))
-    ks = [k for k in (4, 8, 16, 32, 64) if k <= kmax]
+    ks = (4, 8, 16, 32, 64)
     cases = []
     for name, seq, limit in CONVERGENCE_SCRIPTS:
         brackets = [chabauty_distance(seq(k), limit, CONVERGENCE_TOL) for k in ks]
@@ -377,7 +370,7 @@ def _suite_equivalence(rng: random.Random, budget: int) -> List[CaseResult]:
         g2, H2 = eta_cyclic(-x, -n)
         ok = g1 == g2 and H1 == H2 and H1 == classify_from_generators([(-x, -n)])
         cases.append(
-            CaseResult(f"involution-{i:03d}", ok, f"({x},{n}) -> {g1}, {_fmt_subgroup(H1)}")
+            CaseResult(f"involution-{i:03d}", ok, f"({x},{n}) -> {g1}, {format_subgroup(H1)}")
         )
     return cases
 

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from chabauty_rz import (
     BASEPOINT,
     INF,
+    AxisCoord,
     BoundaryPoint,
-    ConeInterior,
     ConePoint,
-    Earring,
     InvalidParameter,
     NonCanonicalModelPoint,
     OnCircle,
-    Segment,
     TypeI,
     TypeII,
     TypeIII,
@@ -109,22 +107,20 @@ class TestConeChart:
 
 class TestGlobalModelChart:
     def test_family_targets(self):
-        assert subgroup_to_model(TypeI(F(0))) == Earring(BASEPOINT)
-        assert subgroup_to_model(TypeI(F(3))) == Segment(F(3))
-        assert subgroup_to_model(TypeI(INF)) == Segment(INF)
-        assert subgroup_to_model(TypeII(F(3, 2), 6)) == Earring(
-            OnCircle(6, F(1, 4))
-        )
-        assert subgroup_to_model(TypeIII(F(1), F(1, 2), 2)) == ConeInterior(
+        assert subgroup_to_model(TypeI(F(0))) == BASEPOINT
+        assert subgroup_to_model(TypeI(F(3))) == AxisCoord(F(3))
+        assert subgroup_to_model(TypeI(INF)) == AxisCoord(INF)
+        assert subgroup_to_model(TypeII(F(3, 2), 6)) == OnCircle(6, F(1, 4))
+        assert subgroup_to_model(TypeIII(F(1), F(1, 2), 2)) == ConePoint(
             2, F(1), F(1, 2)
         )
-        assert subgroup_to_model(TypeIV(2)) == ConeInterior(2, INF, F(0))
+        assert subgroup_to_model(TypeIV(2)) == ConePoint(2, INF, F(0))
 
     def test_noncanonical_rejected(self):
         with pytest.raises(NonCanonicalModelPoint):
-            model_to_subgroup(Segment(F(0)))
+            model_to_subgroup(AxisCoord(F(0)))
         with pytest.raises(NonCanonicalModelPoint):
-            model_to_subgroup(ConeInterior(1, F(0), F(1, 2)))
+            model_to_subgroup(ConePoint(1, F(0), F(1, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(subgroups_st())

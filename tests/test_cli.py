@@ -182,8 +182,8 @@ class TestVerify:
         headers = [line for line in lines if line.startswith("suite ")]
         results = [line for line in lines if line.startswith("result ")]
         assert headers == [f"suite {name} seed 0" for name in SUITE_NAMES]
-        assert len(results) == len(SUITE_NAMES)
-        assert code == (0 if all(r == "result pass" for r in results) else 1)
+        assert results == ["result pass"] * len(SUITE_NAMES)
+        assert code == 0
 
 
 class TestPlot:
