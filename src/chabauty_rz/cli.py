@@ -26,7 +26,7 @@ from .earring import (
     subgroup_to_model,
     winding_count,
 )
-from .denjoy import UnresolvedSample, winding_count_sampled
+from .denjoy import MAX_GRID, MAX_PRECISION, UnresolvedSample, winding_count_sampled
 from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
 from .plot import write_model_svg
 from .suites import SUITE_NAMES, UnknownSuite, run_suite
@@ -77,8 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--cone", type=int, required=True)
     w.add_argument("--circle", type=int, required=True)
     w.add_argument("--sampled", action="store_true")
-    w.add_argument("--grid", type=int, default=4096)
-    w.add_argument("--prec", type=int, default=64)
+    w.add_argument("--grid", type=int, default=4096,
+                   help=f"sample points for --sampled, 8 to {MAX_GRID}")
+    w.add_argument("--prec", type=int, default=64,
+                   help=f"blow-up precision for --sampled, 1 to {MAX_PRECISION}")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True,

@@ -18,8 +18,16 @@ interval of denominator <= B is reported as an irrational-type point
 (under the gluing such points sit at the earring basepoint, as do the
 unresolved deep intervals they might belong to).  Queries strictly inside
 the guard band of relative width 1/B^2 around an interval endpoint are
-reported as unresolved, since refining the precision may reclassify them;
-callers escalate the precision instead of receiving an unstable answer.
+reported as unresolved, since refining the precision may reclassify them.
+Nothing escalates the precision on its own: `denjoy_xi` returns
+`Unresolved`, `glue_boundary` refuses it with `UnresolvedInput`,
+`winding_count_sampled` raises `UnresolvedSample` naming the grid point,
+and the CLI's `wind --sampled` exits 1 with that message.  The caller
+chooses another precision or grid.
+
+The work is bounded: the precision is at most MAX_PRECISION (the layout
+holds about 3 B^2 / pi^2 intervals) and the sampling grid at most MAX_GRID
+points; larger values raise `InvalidParameter`.
 
 The interval coordinate lambda is carried to the angular slope by the
 strictly increasing rational bijection t = (2*lambda - 1)/(lambda*(1 - lambda))
@@ -32,12 +40,18 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import atan, gcd, pi
-from typing import List, Tuple, Union
+from math import atan, lcm, pi
+from typing import List, NamedTuple, Tuple, Union
 
 from .rationals import as_fraction
 from .earring import BASEPOINT, EarringPoint, OnCircle
 from .subgroups import InvalidParameter
+
+#: Largest working precision B accepted (the layout then has about 80 000
+#: intervals, each start a 2200-bit integer).
+MAX_PRECISION = 512
+#: Largest number of sample points accepted by `winding_count_sampled`.
+MAX_GRID = 1 << 16
 
 
 class UnresolvedInput(ValueError):
@@ -69,37 +83,96 @@ DenjoyCoord = Union[Interval, IrrationalPoint, Unresolved]
 IRRATIONAL = IrrationalPoint()
 
 
+def _check_precision(max_denominator: int) -> None:
+    if max_denominator < 1:
+        raise InvalidParameter("max_denominator must be >= 1")
+    if max_denominator > MAX_PRECISION:
+        raise InvalidParameter(f"max_denominator must be <= {MAX_PRECISION}")
+
+
+class _Layout(NamedTuple):
+    nums: List[int]    # label numerators a, the labels a/b increasing
+    dens: List[int]    # label denominators b
+    starts: List[int]  # D * Psi_B(a/b)
+    total: int         # D * L_B
+    scale: int         # the common denominator D = lcm(1..B)^3
+    widths: List[int]  # widths[b] = D / b^3, the length of I_{a/b} times D
+
+
 @lru_cache(maxsize=8)
-def _layout(max_denominator: int) -> Tuple[List[Fraction], List[Fraction], Fraction]:
-    """Sorted interval labels, their start positions Psi_B, and L_B."""
-    fracs = sorted(
-        Fraction(a, b)
-        for b in range(1, max_denominator + 1)
-        for a in range(b)
-        if gcd(a, b) == 1
-    )
-    starts = []
-    acc = Fraction(0)
-    for f in fracs:
-        starts.append(f + acc)
-        acc += Fraction(1, f.denominator**3)
-    total = 1 + acc
-    return fracs, starts, total
+def _layout(max_denominator: int) -> _Layout:
+    """The truncated blow-up at precision B, in integers over one denominator.
+
+    The labels are the Farey sequence F_B without its last term 1/1, made
+    by the next-term recurrence: after consecutive terms a/b < c/d, the
+    next is (k*c - a)/(k*d - b) with k = (B + b) // d.  Every b^3 with
+    b <= B divides D = lcm(1..B)^3, so each width D/b^3 and each D*a/b is
+    an integer, and so are the start numerators D*Psi_B(a/b) and D*L_B.
+    """
+    B = max_denominator
+    scale = lcm(*range(1, B + 1)) ** 3
+    widths = [0] + [scale // b**3 for b in range(1, B + 1)]
+    per_unit = [0] + [scale // b for b in range(1, B + 1)]
+    nums: List[int] = []
+    dens: List[int] = []
+    starts: List[int] = []
+    acc = 0
+    a, b, c, d = 0, 1, 1, B
+    while a < b:  # stops at the term 1/1
+        nums.append(a)
+        dens.append(b)
+        starts.append(a * per_unit[b] + acc)
+        acc += widths[b]
+        k = (B + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return _Layout(nums, dens, starts, scale + acc, scale, widths)
+
+
+def _locate(
+    num: int, den: int, max_denominator: int
+) -> Union[Tuple[int, int, int, int], IrrationalPoint, Unresolved]:
+    """Locate u = num/den in [0, 1) on the blown-up circle at precision B.
+
+    Landing in I_{a/b} gives (a, b, off, width) with lambda = off/width;
+    otherwise the answer is IRRATIONAL or Unresolved(B).  Arc positions are
+    compared as integers scaled by D * den, so u * L_B becomes num * (D L_B).
+    """
+    lay = _layout(max_denominator)
+    pos = num * lay.total
+    i = bisect_right(lay.starts, pos // den) - 1  # starts[0] = 0 <= pos
+    b = lay.dens[i]
+    width = lay.widths[b] * den
+    off = pos - lay.starts[i] * den
+    if off <= width:
+        return lay.nums[i], b, off, width
+    # guard band: within width/B^2 of this interval's end or the next start
+    sq = max_denominator * max_denominator
+    if (off - width) * sq < width:
+        return Unresolved(max_denominator)
+    if i + 1 < len(lay.starts) and (lay.starts[i + 1] * den - pos) * sq < width:
+        return Unresolved(max_denominator)
+    return IRRATIONAL
 
 
 def blowup_total_length(max_denominator: int) -> Fraction:
     """Truncated circle length L_B (exact rational)."""
-    return _layout(max_denominator)[2]
+    _check_precision(max_denominator)
+    lay = _layout(max_denominator)
+    return Fraction(lay.total, lay.scale)
 
 
 def blowup_interval_start(rational, max_denominator: int) -> Fraction:
     """Truncated arc position Psi_B of a blow-up interval's left endpoint."""
     f = as_fraction(rational)
-    fracs, starts, _ = _layout(max_denominator)
-    i = bisect_left(fracs, f)
-    if i == len(fracs) or fracs[i] != f:
+    _check_precision(max_denominator)
+    p, q = f.numerator, f.denominator
+    if q > max_denominator or not 0 <= p < q:
         raise InvalidParameter("rational exceeds the precision's denominator bound")
-    return starts[i]
+    lay = _layout(max_denominator)
+    # first label a/b >= p/q, which is p/q itself since p/q lies in F_B
+    i = bisect_left(range(len(lay.nums)), True,
+                    key=lambda j: lay.nums[j] * q >= p * lay.dens[j])
+    return Fraction(lay.starts[i], lay.scale)
 
 
 def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
@@ -107,25 +180,12 @@ def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
     u = as_fraction(u)
     if not (0 <= u < 1):
         raise InvalidParameter("u must lie in [0, 1)")
-    if max_denominator < 1:
-        raise InvalidParameter("max_denominator must be >= 1")
-    fracs, starts, total = _layout(max_denominator)
-    pos = u * total
-
-    idx = bisect_right(starts, pos) - 1
-    if idx < 0:  # cannot happen: I_{0/1} starts at 0
-        return IRRATIONAL
-    start = starts[idx]
-    width = Fraction(1, fracs[idx].denominator**3)
-    guard = width / (max_denominator**2)
-
-    if pos <= start + width:
-        return Interval(fracs[idx], (pos - start) / width)
-    if pos - (start + width) < guard:
-        return Unresolved(max_denominator)
-    if idx + 1 < len(starts) and starts[idx + 1] - pos < guard:
-        return Unresolved(max_denominator)
-    return IRRATIONAL
+    _check_precision(max_denominator)
+    hit = _locate(u.numerator, u.denominator, max_denominator)
+    if not isinstance(hit, tuple):
+        return hit
+    a, b, off, width = hit
+    return Interval(Fraction(a, b), Fraction(off, width))
 
 
 def slope_from_lambda(lam: Fraction) -> Fraction:
@@ -158,23 +218,28 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     Walks u = j/grid around the circle, maps each sample through the
     blow-up and the gluing, and accumulates signed angular progress on
     A_m in floating point.  Samples landing on other circles sit at the
-    basepoint of A_m.
+    basepoint of A_m.  A sample on A_m at lambda = off/width has slope
+    (2 off - width) width / (off (width - off)); int true division rounds
+    it correctly, so its float is that of `slope_from_lambda`'s Fraction.
     """
     if grid < 8:
         raise InvalidParameter("grid must be >= 8")
+    if grid > MAX_GRID:
+        raise InvalidParameter(f"grid must be <= {MAX_GRID}")
     if k <= 0 or m <= 0:
         raise InvalidParameter("cone and circle indices must be >= 1")
+    _check_precision(max_denominator)
 
     angles = []
     for j in range(grid):
-        coord = denjoy_xi(Fraction(j, grid), max_denominator)
-        if isinstance(coord, Unresolved):
+        hit = _locate(j, grid, max_denominator)
+        if isinstance(hit, Unresolved):
             raise UnresolvedSample(
                 f"grid point {j}/{grid} unresolved at precision {max_denominator}"
             )
-        p = glue_boundary(k, coord)
-        if isinstance(p, OnCircle) and p.circle == m:
-            angles.append(2 * atan(p.t))
+        if isinstance(hit, tuple) and k * hit[1] == m and 0 < hit[2] < hit[3]:
+            _, _, off, w = hit  # glue_boundary's rule: A_{k b}, 0 < lambda < 1
+            angles.append(2 * atan((2 * off - w) * w / (off * (w - off))))
         else:
             angles.append(pi)  # basepoint of A_m
 

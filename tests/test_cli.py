@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,17 @@ class TestWind:
     def test_domain_error(self):
         code, _ = run(["wind", "--cone", "0", "--circle", "3"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [("--prec", "100000"), ("--grid", "10000000")])
+    def test_work_caps(self, flag, value, capsys):
+        start = time.perf_counter()
+        code, out = run(["wind", "--cone", "2", "--circle", "4", "--sampled", flag, value])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidParameter:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert elapsed < 0.5
 
 
 class TestVerify:

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import accumulate
+from math import atan, gcd, pi
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
@@ -12,6 +15,7 @@ from chabauty_rz import (
     OnCircle,
     Unresolved,
     UnresolvedInput,
+    UnresolvedSample,
     blowup_interval_start,
     blowup_total_length,
     denjoy_xi,
@@ -20,6 +24,138 @@ from chabauty_rz import (
     winding_count,
     winding_count_sampled,
 )
+from chabauty_rz.denjoy import MAX_GRID, MAX_PRECISION, _layout
+
+
+# -- reference blow-up, in Fractions, from the definition ----------------------
+
+@lru_cache(maxsize=None)
+def ref_layout(B):
+    """Labels a/b in [0, 1) with b <= B, their widths 1/b^3, Psi_B and L_B."""
+    labels = sorted({F(a, b) for b in range(1, B + 1) for a in range(b)})
+    widths = [F(1, s.denominator ** 3) for s in labels]
+    below = [F(0)] + list(accumulate(widths))  # widths of the labels below
+    starts = [s + w for s, w in zip(labels, below)]
+    return labels, widths, starts, 1 + below[-1]
+
+
+def ref_xi(u, B):
+    labels, widths, starts, total = ref_layout(B)
+    pos = u * total
+    i = max(j for j, s in enumerate(starts) if s <= pos)
+    end = starts[i] + widths[i]
+    if pos <= end:
+        return Interval(labels[i], (pos - starts[i]) / widths[i])
+    guard = widths[i] / B ** 2
+    if pos - end < guard or (i + 1 < len(starts) and starts[i + 1] - pos < guard):
+        return Unresolved(B)
+    return IRRATIONAL
+
+
+def ref_wind(k, m, grid, B):
+    """The sampled walk, one denjoy_xi and one glue_boundary per sample."""
+    angles = []
+    for j in range(grid):
+        coord = denjoy_xi(F(j, grid), B)
+        if isinstance(coord, Unresolved):
+            raise UnresolvedSample(f"grid point {j}/{grid} unresolved at precision {B}")
+        p = glue_boundary(k, coord)
+        on_m = isinstance(p, OnCircle) and p.circle == m
+        angles.append(2 * atan(p.t) if on_m else pi)
+    progress = 0.0
+    for j in range(grid):
+        d = angles[(j + 1) % grid] - angles[j]
+        while d <= -pi:
+            d += 2 * pi
+        while d > pi:
+            d -= 2 * pi
+        progress += d
+    return round(progress / (2 * pi))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def circle_points(draw):
+    # small denominators land exactly on guard bands and interval ends;
+    # 48-bit ones are generic
+    den = draw(st.one_of(st.integers(1, 64), st.integers(2 ** 47, 2 ** 48 - 1)))
+    return F(draw(st.integers(0, den - 1)), den)
+
+
+def edge_points(B, i):
+    """Points of [0, 1) whose arc positions sit on the edges of I_i's bands."""
+    _, widths, starts, total = ref_layout(B)
+    guard = widths[i] / B ** 2
+    end = starts[i] + widths[i]
+    positions = [starts[i], end, end + guard / 2, end + guard]
+    if i + 1 < len(starts):
+        positions += [starts[i + 1] - guard / 2, starts[i + 1] - guard]
+    return [pos / total for pos in positions if pos < total]
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(circle_points(), st.integers(1, 40))
+    @example(F(9, 17), 2)  # guard band past I_0
+    @example(F(25, 34), 2)  # middle of I_{1/2}
+    def test_location(self, u, B):
+        assert denjoy_xi(u, B) == ref_xi(u, B)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_layout_and_band_edges(self, B, data):
+        labels, _, starts, total = ref_layout(B)
+        assert blowup_total_length(B) == total
+        i = data.draw(st.integers(0, len(labels) - 1))
+        assert blowup_interval_start(labels[i], B) == starts[i]
+        for v in edge_points(B, i):
+            assert denjoy_xi(v, B) == ref_xi(v, B)
+
+    # B = 1 and 2 put samples exactly on interval ends (lambda = 1)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 12), st.integers(8, 200),
+           st.sampled_from([1, 2, 8, 8]))
+    def test_sampled_winding(self, k, m, grid, B):
+        assert outcome(winding_count_sampled, k, m, grid, B) == outcome(
+            ref_wind, k, m, grid, B)
+
+
+class TestLayoutShape:
+    @pytest.mark.parametrize("B", [1, 2, 3, 7, 40, 128])
+    def test_labels_and_starts(self, B):
+        lay = _layout(B)
+        labels = list(zip(lay.nums, lay.dens))
+        # 0/1, then phi(b) lowest-terms labels a/b in (0, 1) for each b >= 2
+        assert len(labels) == 1 + sum(
+            sum(gcd(a, b) == 1 for a in range(1, b)) for b in range(2, B + 1))
+        assert labels[0] == (0, 1)
+        assert all(0 <= a < b <= B and gcd(a, b) == 1 for a, b in labels)
+        assert all(a * d < c * b for (a, b), (c, d) in zip(labels, labels[1:]))
+        assert all(s < t for s, t in zip(lay.starts, lay.starts[1:]))
+        assert lay.starts[-1] + lay.widths[lay.dens[-1]] < lay.total
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("B", [0, -3, MAX_PRECISION + 1])
+    def test_precision_out_of_range(self, B):
+        with pytest.raises(InvalidParameter):
+            blowup_total_length(B)
+        with pytest.raises(InvalidParameter):
+            blowup_interval_start(F(0), B)
+        with pytest.raises(InvalidParameter):
+            denjoy_xi(F(1, 2), B)
+        with pytest.raises(InvalidParameter):
+            winding_count_sampled(1, 1, 64, B)
+
+    def test_cap_is_accepted(self):
+        # tail over b > 64 is below 1/64
+        assert 0 < blowup_total_length(MAX_PRECISION) - blowup_total_length(64) < F(1, 64)
 
 
 class TestLayout:
@@ -123,3 +259,5 @@ class TestSampledWinding:
     def test_grid_validation(self):
         with pytest.raises(InvalidParameter):
             winding_count_sampled(1, 1, 4, 8)
+        with pytest.raises(InvalidParameter):
+            winding_count_sampled(1, 1, MAX_GRID + 1, 8)
