@@ -8,6 +8,7 @@ seeded verification suites behind a CLI.
 
 from .rationals import INF, ExtQ, as_fraction, fmt_q, is_inf
 from .subgroups import (
+    MAX_BALL_POINTS,
     BallElements,
     ClosedSubgroup,
     InvalidParameter,
@@ -75,13 +76,7 @@ from .denjoy import (
     slope_from_lambda,
     winding_count_sampled,
 )
-from .oracle import (
-    NonDiscreteSuspected,
-    SweepInfeasible,
-    oracle_closure_ball,
-    oracle_closure_ball_sweep,
-    totient,
-)
+from .oracle import oracle_closure_ball, totient
 from .equivalence import (
     BoundaryCoord,
     Coordinate,

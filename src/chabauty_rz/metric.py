@@ -80,7 +80,8 @@ def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
     The ball is closed, the neighbourhood open (strict inequality).
     Strip elements are checked by covering the segment with the open
     eps-intervals contributed by nearby elements of H2; the cover test
-    is an exact rational sweep.
+    is an exact rational sweep.  A ball over ``MAX_BALL_POINTS`` raises
+    ``InvalidParameter``.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -89,8 +90,8 @@ def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
         return True
     radius = 1 / eps
     ball = elements_in_ball(H, radius)
-    for p in ball.points:
-        if distance_point_to_subgroup(p, H2) >= eps:
+    for X, m in ball.points:
+        if distance_point_to_subgroup((Fraction(X, ball.scale), m), H2) >= eps:
             return False
     for strip in ball.strips:
         if not _strip_covered(strip.level, radius, H2, eps):

@@ -1,18 +1,11 @@
 """Brute-force oracles kept independent of the classifier and the charts.
 
-Two routes, neither consulting the canonical-form machinery:
-
-  * a combination sweep that enumerates integer combinations of the
-    generators under a doubling coefficient bound with a stabilization
-    check.  Sound, but the minimal coefficients realizing a small lattice
-    element grow like the cleared denominator, so the sweep is only
-    feasible on tame inputs and guards itself with a work budget;
-  * a lattice route that clears denominators, reduces the integer
-    generator columns to a triangular basis (the Hermite normal form of a
-    2 x k matrix) by its own column operations, then enumerates the ball
-    from that basis.  Feasible on everything the suites sample.
-
-Both use only integer arithmetic from the standard library.
+The ball oracle consults none of the canonical-form machinery: it clears
+the generators' denominators by their lcm d, reduces the integer
+generator columns to a triangular basis (the Hermite normal form of a
+2 x k matrix) by its own column operations, then enumerates the ball from
+that basis, in integers over d.  Feasible on everything the suites
+sample.
 
 The totient here is computed multiplicatively from a trial-division
 factorization, as a counterweight to the coprime-enumeration winding
@@ -21,37 +14,12 @@ count.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from itertools import chain, repeat
 from math import floor, lcm
 from typing import Optional, Sequence, Tuple
 
 from .rationals import as_fraction
-from .subgroups import BallElements, InvalidParameter, PointRZ
-
-
-class NonDiscreteSuspected(RuntimeError):
-    """The combination sweep kept producing new in-ball points.
-
-    Rational generators always span a discrete group, so hitting this
-    signals a bug (or genuinely irrational input smuggled in).
-    """
-
-
-class SweepInfeasible(RuntimeError):
-    """The doubling sweep exceeded its work budget before stabilizing.
-
-    Not an error in the input: minimal Bezout coefficients scale with the
-    cleared denominator, which puts some rational inputs beyond any full
-    coefficient-product enumeration.  Use the lattice route instead.
-    """
-
-
-_COEFF_CAP = 1 << 13
-# Combination rows per doubling step.  The pure-Python sweep runs about
-# 10^7 rows per second (CPython 3.11, one core of a Xeon VM), so a step
-# the budget accepts finishes in about a second.
-_SWEEP_BUDGET = 8_000_000
+from .subgroups import BallElements, InvalidParameter, check_ball_size
 
 
 def _scaled_rows(gens: Sequence[Tuple]):
@@ -111,98 +79,37 @@ def oracle_closure_ball(gens: Sequence[Tuple], r) -> BallElements:
 
     Lattice route: triangular basis of the cleared-denominator generator
     lattice (``lattice_basis``), then direct enumeration from that basis.
+    The points come as int pairs over the lcm d of the generators'
+    denominators.  A ball over ``MAX_BALL_POINTS`` raises
+    ``InvalidParameter`` before enumeration.
     """
     r = as_fraction(r)
     if r <= 0:
         raise InvalidParameter("ball radius must be > 0")
     rows, d = _scaled_rows(gens)
     if not rows:
-        return BallElements(frozenset({PointRZ(Fraction(0), 0)}), frozenset())
+        return BallElements(1, frozenset({(0, 0)}), frozenset())
 
     horiz, lev = lattice_basis(rows)
 
-    points = set()
-    rd = r * d  # |x*d| <= r*d
-    if lev is None:
-        levels = [(0, 0)]
-    else:
-        q, n = lev
-        jmax = floor(r / n)
-        levels = [(j * q, j * n) for j in range(-jmax, jmax + 1)]
-    for x0, m in levels:
-        if horiz is None:
-            if abs(x0) <= rd:
-                points.add(PointRZ(Fraction(x0, d), m))
-            continue
-        imin = -floor((rd + x0) / horiz)
-        imax = floor((rd - x0) / horiz)
-        for i in range(imin, imax + 1):
-            points.add(PointRZ(Fraction(x0 + i * horiz, d), m))
-    return BallElements(frozenset(points), frozenset())
+    R = r.numerator * d // r.denominator  # |x*d| <= R iff |x| <= r
+    q, n = lev or (0, 0)
+    jmax = floor(r) // n if n else 0
+    if horiz is None and q:
+        jmax = min(jmax, R // abs(q))  # only (j*q, j*n) on level j*n
+    check_ball_size(2 * jmax + 1, "levels", r)
 
+    def columns():
+        for j in range(-jmax, jmax + 1):
+            x0 = j * q
+            if horiz is None:
+                yield j * n, range(x0, x0 + 1)
+            else:
+                yield j * n, range(x0 - (R + x0) // horiz * horiz, R + 1, horiz)
 
-def oracle_closure_ball_sweep(
-    gens: Sequence[Tuple],
-    r,
-    max_coeff: int = 8,
-) -> BallElements:
-    """Combination-sweep route: coefficients bounded by max_coeff, the
-    bound doubling until the in-ball point set is identical on two
-    consecutive doublings."""
-    r = as_fraction(r)
-    if r <= 0:
-        raise InvalidParameter("ball radius must be > 0")
-    rows, d = _scaled_rows(gens)
-    if not rows:
-        return BallElements(frozenset({PointRZ(Fraction(0), 0)}), frozenset())
-
-    coeff = max_coeff
-    prev, stable = None, 0
-    while True:
-        if (2 * coeff + 1) ** len(rows) > _SWEEP_BUDGET:
-            raise SweepInfeasible(
-                f"coefficient bound {coeff} over {len(rows)} generators "
-                "exceeds the sweep budget"
-            )
-        combos = _in_ball_combos(rows, coeff, r, d)
-        if prev is not None and combos == prev:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        prev = combos
-        coeff *= 2
-        if coeff > _COEFF_CAP:
-            raise NonDiscreteSuspected(
-                f"no stabilization below coefficient bound {_COEFF_CAP}"
-            )
-
-    points = frozenset(PointRZ(Fraction(p, d), m) for p, m in combos)
-    return BallElements(points, frozenset())
-
-
-def _in_ball_combos(rows, coeff: int, r: Fraction, d: int):
-    """Every combination sum(c_i * row_i) with |c_i| <= coeff inside the
-    ball, as integer (x*d, level) pairs."""
-    rn, rden = r.numerator, r.denominator
-    xmax = rn * d
-    span = range(-coeff, coeff + 1)
-    (p0, m0), rest = rows[0], rows[1:]
-    partial = [
-        (sum(c * p for c, (p, _) in zip(cs, rest)),
-         sum(c * m for c, (_, m) in zip(cs, rest)))
-        for cs in product(span, repeat=len(rest))
-    ]
-    found = set()
-    for c0 in span:
-        x0, l0 = c0 * p0, c0 * m0
-        for x, m in partial:
-            x += x0
-            m += l0
-            if abs(x) * rden <= xmax and abs(m) * rden <= rn:
-                found.add((x, m))
-    return found
+    check_ball_size(sum(len(xs) for _, xs in columns()), "points", r)
+    points = frozenset(chain.from_iterable(zip(xs, repeat(m)) for m, xs in columns()))
+    return BallElements(d, points, frozenset())
 
 
 def totient(b: int) -> int:

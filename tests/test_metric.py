@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from chabauty_rz import (
     INF,
+    MAX_BALL_POINTS,
     DistanceBracket,
+    InvalidParameter,
     InvalidSequence,
     ToleranceInvalid,
     TypeI,
@@ -115,6 +118,13 @@ class TestPredicate:
     def test_invalid_eps(self):
         with pytest.raises(ToleranceInvalid):
             hausdorff_inclusion_ok(TypeI(F(1)), TypeI(F(1)), 0)
+
+    def test_ball_over_the_cap_raises_quickly(self):
+        # the ball of I(1000) at radius 10^6 holds 2 * 10^9 + 1 points
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+            hausdorff_inclusion_ok(TypeI(F(1000)), TypeI(F(1001)), F(1, 10**6))
+        assert time.perf_counter() - start < 0.5
 
     @settings(max_examples=80, deadline=None)
     @given(subgroups_st(), subgroups_st(), st.integers(1, 6))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -6,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
+    MAX_BALL_POINTS,
     InvalidParameter,
     PointRZ,
     TypeII,
+    classify_from_generators,
     elements_in_ball,
+    membership,
     oracle_closure_ball,
-    oracle_closure_ball_sweep,
     totient,
 )
 from chabauty_rz.oracle import lattice_basis
+from chabauty_rz.subgroups import level_denominator
 
+from balls import fraction_points, oracle_closure_ball_sweep
 from strategies import generator_lists_st
 
 
@@ -23,16 +28,18 @@ class TestSweepOracle:
     def test_level_zero_pair(self):
         got = oracle_closure_ball_sweep([(F(1, 2), 0), (F(1, 3), 0)], 1)
         want = {PointRZ(F(k, 6), 0) for k in range(-6, 7)}
-        assert got.points == want
+        assert fraction_points(got) == want
         assert len(got.points) == 13
 
     def test_empty_generators(self):
         got = oracle_closure_ball_sweep([], 5)
-        assert got.points == {PointRZ(F(0), 0)}
+        assert fraction_points(got) == {PointRZ(F(0), 0)}
 
     def test_single_cyclic(self):
         got = oracle_closure_ball_sweep([(F(3, 2), 2)], 4)
-        assert got.points == elements_in_ball(TypeII(F(3, 2), 2), 4).points
+        assert fraction_points(got) == fraction_points(
+            elements_in_ball(TypeII(F(3, 2), 2), 4)
+        )
         assert len(got.points) == 5
 
     def test_radius_validation(self):
@@ -56,14 +63,34 @@ class TestLatticeOracle:
         # minimal Bezout coefficients here are in the hundreds
         gens = [(F(1, 11), 0), (F(1, 12), 0)]
         got = oracle_closure_ball(gens, 1)
-        assert PointRZ(F(1, 132), 0) in got.points
+        assert PointRZ(F(1, 132), 0) in fraction_points(got)
         assert len(got.points) == 265
 
     @settings(max_examples=60, deadline=None)
     @given(generator_lists_st(), st.integers(1, 4))
     def test_points_in_radius(self, gens, r):
-        for p in oracle_closure_ball(gens, r).points:
+        for p in fraction_points(oracle_closure_ball(gens, r)):
             assert abs(p.x) <= r and abs(p.level) <= r
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_lists_st(), st.integers(1, 4))
+    def test_scale_is_the_groups_least_denominator(self, gens, r):
+        ball = oracle_closure_ball(gens, r)
+        assert ball.scale == level_denominator(classify_from_generators(gens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_lists_st(), st.integers(1, 4))
+    def test_points_are_members(self, gens, r):
+        H = classify_from_generators(gens)
+        for p in fraction_points(oracle_closure_ball(gens, r)):
+            assert membership(H, p)
+
+    def test_ball_over_the_cap_raises_quickly(self):
+        # 2 * 10^9 + 1 points at level 0
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+            oracle_closure_ball([(F(1, 1000), 0)], 10**6)
+        assert time.perf_counter() - start < 0.5
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +149,7 @@ class TestLatticeBasis:
         rows = [(int(x * d), m) for x, m in rows]
         horiz, lev = _sympy_basis(sympy_hnf, rows)
         assert lattice_basis(rows) == (horiz, lev)
-        assert oracle_closure_ball(gens, r).points == _ball_from_basis(
+        assert fraction_points(oracle_closure_ball(gens, r)) == _ball_from_basis(
             horiz, lev, d, r
         )
 

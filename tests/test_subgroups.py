@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from chabauty_rz import (
     INF,
+    MAX_BALL_POINTS,
     InvalidParameter,
     PointRZ,
     Strip,
@@ -23,8 +25,9 @@ from chabauty_rz import (
     membership,
     oracle_closure_ball,
 )
-from chabauty_rz.subgroups import LINE
+from chabauty_rz.subgroups import LINE, level_denominator, scaled_levels
 
+from balls import fraction_points
 from strategies import fractions_st, generator_lists_st, subgroups_st
 
 
@@ -115,6 +118,21 @@ class TestLevelSets:
         assert level_set(TypeIV(3), -6) is LINE
         assert level_set(TypeIV(3), 2) is None
 
+    @settings(max_examples=150, deadline=None)
+    @given(subgroups_st(), st.integers(-12, 12))
+    def test_scaled_levels_match_level_set(self, H, m):
+        D = level_denominator(H)
+        got = scaled_levels(H, D).at(m)
+        want = level_set(H, m)
+        if want is None or want is LINE:
+            assert got is want
+            return
+        offset, spacing = want
+        if spacing is None:
+            assert got == (offset * D, 0)
+        else:
+            assert got == ((offset * D) % (spacing * D), spacing * D)
+
 
 class TestBallsAndDistances:
     def test_cyclic_ball(self):
@@ -122,7 +140,7 @@ class TestBallsAndDistances:
         want = {
             PointRZ(F(k) * F(3, 2), 2 * k) for k in range(-2, 3)
         }
-        assert got.points == want
+        assert fraction_points(got) == want
         assert len(got.points) == 5
         assert not got.strips
 
@@ -147,7 +165,7 @@ class TestBallsAndDistances:
     @given(subgroups_st(), st.integers(1, 6))
     def test_ball_points_are_members(self, H, r):
         ball = elements_in_ball(H, r)
-        for p in ball.points:
+        for p in fraction_points(ball):
             assert membership(H, p)
             assert distance_point_to_subgroup(p, H) == 0
 
@@ -155,7 +173,22 @@ class TestBallsAndDistances:
     @given(subgroups_st())
     def test_identity_always_present(self, H):
         ball = elements_in_ball(H, 1)
-        assert PointRZ(F(0), 0) in ball.points or Strip(0, F(1)) in ball.strips
+        assert PointRZ(F(0), 0) in fraction_points(ball) or Strip(0, F(1)) in ball.strips
+
+    def test_ball_over_the_cap_raises_quickly(self):
+        # 2 * 10^9 + 1 strips, refused on their level count
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+            elements_in_ball(TypeIV(1), 10**9)
+        # one point more than the cap
+        with pytest.raises(InvalidParameter, match=f"{MAX_BALL_POINTS + 1} points"):
+            elements_in_ball(TypeI(F(1)), MAX_BALL_POINTS // 2)
+        assert time.perf_counter() - start < 0.5
+
+    def test_single_point_levels_do_not_count_against_the_cap(self):
+        # two million levels in reach, but only the origin lies in the ball
+        got = elements_in_ball(TypeII(F(10**7), 1), 10**6)
+        assert fraction_points(got) == {PointRZ(F(0), 0)}
 
 
 class TestEtaCyclic:
