@@ -28,8 +28,8 @@ from .earring import (
 )
 from .denjoy import MAX_GRID, MAX_PRECISION, UnresolvedSample, winding_count_sampled
 from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
-from .plot import write_model_svg
-from .suites import SUITE_NAMES, UnknownSuite, run_suite
+from .plot import MAX_CIRCLES, MAX_CONES, write_model_svg
+from .suites import MAX_BUDGET, SUITE_NAMES, UnknownSuite, run_suite
 
 _DOMAIN_ERRORS = (
     InvalidParameter,
@@ -86,13 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True,
                    help=f"one of {', '.join(SUITE_NAMES)}, or 'all' for each in turn")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--budget", type=int, default=100)
+    v.add_argument("--budget", type=int, default=100,
+                   help=f"random cases per suite, 1 to {MAX_BUDGET}")
     v.add_argument("--json", action="store_true")
 
     g = sub.add_parser("plot", help="schematic SVG of the model space")
     g.add_argument("--out", required=True)
-    g.add_argument("--circles", type=int, default=6)
-    g.add_argument("--cones", type=int, default=4)
+    g.add_argument("--circles", type=int, default=6,
+                   help=f"earring circles, 1 to {MAX_CIRCLES}")
+    g.add_argument("--cones", type=int, default=4,
+                   help=f"cones, 1 to {MAX_CONES}")
 
     return p
 

@@ -121,10 +121,9 @@ def parse_subgroup(text: str) -> ClosedSubgroup:
         gens = _generator_list(c)
         c.done()
         return classify_from_generators(gens)
-    # family keywords share prefixes; try longest first
-    for family in ("III", "IV", "II", "I"):
+    for family, fields in _FAMILIES.values():
         if c.try_word(family):
-            H = _family_body(c, family)
+            H = _family_body(c, family, fields)
             c.done()
             return H
     raise ParseError("expected a family name or 'gen'", c.pos)
@@ -138,36 +137,28 @@ def parse_rational(text: str) -> Fraction:
     return q
 
 
-def _family_body(c: _Cursor, family: str) -> ClosedSubgroup:
+# Each family's literal: its name and its fields in order, each with the
+# reader of its value.  ``parse_subgroup`` tries the names in this order;
+# ``try_word`` needs a word boundary, so "I" never matches inside "III".
+_FAMILIES = {
+    TypeIII: ("III", (("alpha", _Cursor.rational), ("beta", _Cursor.rational),
+                      ("n", _Cursor.integer))),
+    TypeIV: ("IV", (("n", _Cursor.integer),)),
+    TypeII: ("II", (("gamma", _Cursor.rational), ("n", _Cursor.integer))),
+    TypeI: ("I", (("alpha", _Cursor.extended_rational),)),
+}
+
+
+def _family_body(c: _Cursor, family: str, fields) -> ClosedSubgroup:
     c.expect("(")
-    if family == "I":
-        c.keyword("alpha")
-        alpha = c.extended_rational()
-        c.expect(")")
-        return canonicalize_params("I", alpha=alpha)
-    if family == "II":
-        c.keyword("gamma")
-        gamma = c.rational()
-        c.expect(",")
-        c.keyword("n")
-        n = c.integer()
-        c.expect(")")
-        return canonicalize_params("II", gamma=gamma, n=n)
-    if family == "III":
-        c.keyword("alpha")
-        alpha = c.rational()
-        c.expect(",")
-        c.keyword("beta")
-        beta = c.rational()
-        c.expect(",")
-        c.keyword("n")
-        n = c.integer()
-        c.expect(")")
-        return canonicalize_params("III", alpha=alpha, beta=beta, n=n)
-    c.keyword("n")
-    n = c.integer()
+    params = {}
+    for name, read in fields:
+        if params:
+            c.expect(",")
+        c.keyword(name)
+        params[name] = read(c)
     c.expect(")")
-    return canonicalize_params("IV", n=n)
+    return canonicalize_params(family, **params)
 
 
 def _generator_list(c: _Cursor) -> List[Tuple[Fraction, int]]:
@@ -192,12 +183,9 @@ def _generator_list(c: _Cursor) -> List[Tuple[Fraction, int]]:
 
 def format_subgroup(H: ClosedSubgroup) -> str:
     """Canonical literal; parse_subgroup(format_subgroup(H)) == H."""
-    if isinstance(H, TypeI):
-        return f"I(alpha={fmt_q(H.alpha)})"
-    if isinstance(H, TypeII):
-        return f"II(gamma={fmt_q(H.gamma)},n={H.n})"
-    if isinstance(H, TypeIII):
-        return f"III(alpha={fmt_q(H.alpha)},beta={fmt_q(H.beta)},n={H.n})"
-    if isinstance(H, TypeIV):
-        return f"IV(n={H.n})"
-    raise TypeError(f"not a subgroup value: {H!r}")
+    entry = _FAMILIES.get(type(H))
+    if entry is None:
+        raise TypeError(f"not a subgroup value: {H!r}")
+    family, fields = entry
+    body = ",".join([f"{name}={fmt_q(getattr(H, name))}" for name, _ in fields])
+    return f"{family}({body})"

@@ -10,9 +10,11 @@ so the infimum has the closed form
     S(H, H') = sup over p in H of min(1/|p|, delta(p, H')),
 
 and it is attained.  ``chabauty_distance`` computes it from critical
-values on the integer level sets of ``subgroups.scaled_levels``: a finite
-set of candidate points for a discrete group, a closed form for a strip
-(I(inf), IV(n)).  d is always rational and comes back as [d, d].
+values on the integer level sets of ``subgroups.int_levels``, both groups
+rescaled to one common scale: a finite set of candidate points for a
+discrete group, a closed form for a strip (I(inf), IV(n)).  The subset
+test that answers d = 0 reads the same levels.  d is always rational and
+comes back as [d, d].
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
@@ -27,22 +29,16 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .rationals import as_fraction, is_inf
+from .rationals import as_fraction
 from .subgroups import (
     LINE,
     ClosedSubgroup,
     IntLevels,
     PointRZ,
-    TypeI,
-    TypeII,
-    TypeIII,
-    TypeIV,
     distance_point_to_subgroup,
     elements_in_ball,
-    level_denominator,
+    int_levels,
     level_set,
-    membership,
-    scaled_levels,
 )
 
 
@@ -56,22 +52,31 @@ class DistanceBracket(NamedTuple):
 
 
 def subgroup_subset(H: ClosedSubgroup, H2: ClosedSubgroup) -> bool:
-    """Exact decision of H subset of H2, via generators of H."""
-    if isinstance(H, TypeI):
-        if is_inf(H.alpha):
-            return level_set(H2, 0) is LINE
-        if H.alpha == 0:
-            return True
-        return membership(H2, (1 / H.alpha, 0))
-    if isinstance(H, TypeII):
-        return membership(H2, (H.gamma, H.n))
-    if isinstance(H, TypeIII):
-        return membership(H2, (1 / H.alpha, 0)) and membership(
-            H2, (H.beta / H.alpha, H.n)
-        )
-    if isinstance(H, TypeIV):
-        return isinstance(H2, TypeIV) and H.n % H2.n == 0
-    raise TypeError(f"not a subgroup value: {H!r}")
+    """Exact decision of H subset of H2, on their integer levels."""
+    return _levels_subset(*_common_levels(H, H2))
+
+
+def _common_levels(A: ClosedSubgroup, B: ClosedSubgroup):
+    """The integer levels of A and B at one common scale."""
+    Al, Bl = int_levels(A), int_levels(B)
+    D = lcm(Al.scale, Bl.scale)
+    return Al.over(D), Bl.over(D)
+
+
+def _levels_subset(A: IntLevels, B: IntLevels) -> bool:
+    """A inside B, at one scale: A's lines, or its basis vectors, lie in B."""
+    if A.line:
+        return B.at(A.n) is LINE
+    return (not A.g or _holds(B, A.g, 0)) and (not A.n or _holds(B, A.q, A.n))
+
+
+def _holds(B: IntLevels, X: int, m: int) -> bool:
+    """Does B hold the point (X, m), at B's scale?"""
+    Bm = B.at(m)
+    if Bm is None or Bm is LINE:
+        return Bm is LINE
+    o, s = Bm
+    return (X - o) % s == 0 if s else X == o
 
 
 def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
@@ -196,16 +201,15 @@ def side_sup(A: ClosedSubgroup, B: ClosedSubgroup) -> Witness:
     Both groups are symmetric under p -> -p, so only levels m >= 0 are
     walked, and only while 1/m can still beat the best score.
     """
-    if subgroup_subset(A, B):
+    Al, Bl = _common_levels(A, B)
+    if _levels_subset(Al, Bl):
         return Witness(Fraction(0), None, A, B)
-    D = lcm(level_denominator(A), level_denominator(B))
-    Al, Bl = scaled_levels(A, D), scaled_levels(B, D)
-    value, point = (_strip_sup if Al.line else _discrete_sup)(Al, Bl, D)
+    value, point = (_strip_sup if Al.line else _discrete_sup)(Al, Bl)
     return Witness(value, point, A, B)
 
 
-def _discrete_sup(A: IntLevels, B: IntLevels, D: int):
-    """S for a discrete A, all in ints scaled by D.
+def _discrete_sup(A: IntLevels, B: IntLevels):
+    """S for a discrete A, all in ints at the common scale D.
 
     The best score is kept as the fraction bn/bd.  A point (X, m) has
     1/|p| = D/a with a = max(|X|, m*D), so only points with a*bn < D*bd
@@ -216,6 +220,7 @@ def _discrete_sup(A: IntLevels, B: IntLevels, D: int):
     the points inside the bound are enumerated instead when they are
     fewer than P.
     """
+    D = A.scale
     DD = D * D
     bn, bd, wx, wm = 0, 1, 0, 0
 
@@ -299,7 +304,7 @@ def _descending(top: int, h: int, residues) -> Iterator[int]:
                 yield t0 - base
 
 
-def _strip_sup(A: IntLevels, B: IntLevels, D: int):
+def _strip_sup(A: IntLevels, B: IntLevels):
     """S for a strip A (I(inf) or IV(n)), in closed form.
 
     Level 0 of B holds 0.  If it is a single point, x = 1 scores 1, the
@@ -310,7 +315,7 @@ def _strip_sup(A: IntLevels, B: IntLevels, D: int):
     beyond level 0 only empty levels of B count, each with 1/m at (0, m);
     the lowest one wins.  Hence S is always rational.
     """
-    best, point = Fraction(0), None
+    D, best, point = A.scale, Fraction(0), None
     B0 = B.at(0)
     if B0 is not LINE:
         s = B0[1]

@@ -16,10 +16,19 @@ from .subgroups import InvalidParameter
 _WIDTH = 880.0
 _HEIGHT = 420.0
 
+#: Most earring circles drawn; the SVG grows linearly with the count.
+MAX_CIRCLES = 1000
+#: Most cones drawn; cone k is 380/2^k pixels wide, under a pixel from k = 9.
+MAX_CONES = 64
+
 
 def render_model_svg(circles: int = 6, cones: int = 4) -> str:
     if circles < 1 or cones < 1:
         raise InvalidParameter("circles and cones must be >= 1")
+    if circles > MAX_CIRCLES or cones > MAX_CONES:
+        raise InvalidParameter(
+            f"circles must be <= {MAX_CIRCLES} and cones <= {MAX_CONES}"
+        )
     parts: List[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from math import floor, gcd, lcm
 from typing import NamedTuple, Sequence, Tuple, Union
 
-from .rationals import ExtQ, as_fraction, is_inf
+from .rationals import INF, ExtQ, as_fraction, is_inf
 
 
 class InvalidParameter(ValueError):
@@ -69,12 +69,10 @@ class TypeIII:
     n: int
 
     def __post_init__(self):
-        if is_inf(self.alpha):
-            raise InvalidParameter("TypeIII alpha must be finite")
+        if is_inf(self.alpha) or as_fraction(self.alpha) <= 0:
+            raise InvalidParameter("TypeIII alpha must be in (0, INF)")
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.alpha <= 0:
-            raise InvalidParameter("TypeIII alpha must be > 0")
         if not (0 <= self.beta < 1):
             raise InvalidParameter("TypeIII beta must lie in [0, 1)")
         if self.n <= 0:
@@ -135,33 +133,26 @@ def check_ball_size(count: int, what: str, r) -> None:
 def canonicalize_params(family: str, **params) -> ClosedSubgroup:
     """Build the canonical subgroup value for raw family parameters.
 
-    Beta is reduced mod 1 into [0, 1); a negative n for TypeII flips the
-    sign of gamma (Z(g, n) = Z(-g, -n)).  TypeIII with alpha in {0, INF}
-    is rejected: those subgroups belong to families I and IV.
+    This only normalizes: a negative n flips the sign of the level-n
+    generator (Z(g, n) = Z(-g, -n), so gamma or beta changes sign), and
+    beta is reduced mod 1 into [0, 1).  The family constructors check
+    every range, so n = 0, alpha outside its family's range and the
+    degenerate lattices (TypeIII with alpha in {0, INF}, which belong to
+    families I and IV) raise ``InvalidParameter`` there.
     """
     if family == "I":
-        alpha = params["alpha"]
-        return TypeI(alpha if is_inf(alpha) else as_fraction(alpha))
+        return TypeI(params["alpha"])
     if family == "II":
         gamma, n = as_fraction(params["gamma"]), params["n"]
-        if n == 0:
-            raise InvalidParameter("TypeII n must be nonzero")
         if n < 0:
             gamma, n = -gamma, -n
         return TypeII(gamma, n)
     if family == "III":
-        alpha, beta, n = params["alpha"], params["beta"], params["n"]
-        if is_inf(alpha):
-            raise InvalidParameter("TypeIII alpha must be in (0, INF)")
-        alpha = as_fraction(alpha)
-        if alpha <= 0:
-            raise InvalidParameter("TypeIII alpha must be in (0, INF)")
-        if n == 0:
-            raise InvalidParameter("TypeIII n must be nonzero")
+        beta, n = as_fraction(params["beta"]), params["n"]
         if n < 0:
             # Z(1/a,0) + Z(b/a, n) = Z(1/a,0) + Z(-b/a, -n)
-            beta, n = -as_fraction(beta), -n
-        return TypeIII(alpha, as_fraction(beta) % 1, n)
+            beta, n = -beta, -n
+        return TypeIII(params["alpha"], beta % 1, n)
     if family == "IV":
         return TypeIV(params["n"])
     raise InvalidParameter(f"unknown family {family!r}")
@@ -173,34 +164,22 @@ def classify_from_generators(gens: Sequence[Tuple]) -> ClosedSubgroup:
     Rational generators always span a discrete (hence closed) subgroup.
     Denominators are cleared by their lcm d, the integer rows (p_i, n_i)
     are reduced to a two-element basis (g, 0), (q, n) of the lattice they
-    span in Z^2, and the family parameters are read off that basis.
+    span in Z^2, and ``from_levels`` reads the family off that basis.
     """
     pts = [(as_fraction(x), int(m)) for x, m in gens]
-    pts = [(x, m) for x, m in pts if x != 0 or m != 0]
     if not pts:
         return TypeI(Fraction(0))
-
     d = lcm(*(x.denominator for x, _ in pts))
-    rows = [(int(x * d), m) for x, m in pts]
-
-    n = gcd(*(m for _, m in rows)) if any(m for _, m in rows) else 0
-    if n == 0:
-        g = gcd(*(p for p, _ in rows))
-        if g == 0:
-            return TypeI(Fraction(0))
-        return TypeI(Fraction(d, g))  # 1/alpha = g/d
-
-    # Combine generators into one element (q, n), then project the rest
-    # to level zero.
-    q = _combination_with_level(rows, n)
-    g = 0
-    for p, m in rows:
-        g = gcd(g, p - (m // n) * q)
-    if g == 0:
-        return TypeII(Fraction(q, d), n)
-    alpha = Fraction(d, g)
-    beta = Fraction(q, g) % 1
-    return TypeIII(alpha, beta, n)
+    rows = [(x.numerator * (d // x.denominator), m) for x, m in pts]
+    n = gcd(*(m for _, m in rows))
+    if n:
+        # Combine generators into one element (q, n), then project the
+        # rest to level zero.
+        q = _combination_with_level(rows, n)
+        g = gcd(*(p - (m // n) * q for p, m in rows))
+    else:
+        q, g = 0, gcd(*(p for p, _ in rows))
+    return from_levels(IntLevels(d, g, q, n, False))
 
 
 def _combination_with_level(rows, n: int) -> int:
@@ -270,18 +249,26 @@ def level_set(H: ClosedSubgroup, m: int):
 
 
 class IntLevels(NamedTuple):
-    """H with its first coordinate scaled by an integer D, in ints.
+    """H as an integer basis, its first coordinate scaled by ``scale``.
 
-    The scaled group {(D*x, m) : (x, m) in H} is Z*(g, 0) + Z*(q, n) with
-    integers g >= 0 and n >= 0.  n == 0 means only level 0 is occupied;
-    g == 0 means each occupied level is a single point; ``line`` means
-    each occupied level is a whole line (g and q are then 0).
+    The scaled group {(scale*x, m) : (x, m) in H} is Z*(g, 0) + Z*(q, n)
+    with integers g >= 0 and n >= 0.  n == 0 means only level 0 is
+    occupied; g == 0 means each occupied level is a single point;
+    ``line`` means each occupied level is a whole line (g and q are then
+    0).  ``int_levels`` gives H at its least scale, with q in [0, g) when
+    g > 0; ``from_levels`` reads the family back at any scale.
     """
 
+    scale: int
     g: int
     q: int
     n: int
     line: bool
+
+    def over(self, D: int) -> "IntLevels":
+        """The same group at scale D, a multiple of ``scale``."""
+        k = D // self.scale
+        return IntLevels(D, k * self.g, k * self.q, self.n, self.line)
 
     def at(self, m: int):
         """Level m: None (empty), LINE, or (offset, spacing) for
@@ -302,40 +289,39 @@ class IntLevels(NamedTuple):
         return (k * self.q, 0)
 
 
-def level_denominator(H: ClosedSubgroup) -> int:
-    """Least D > 0 for which ``scaled_levels(H, D)`` is integral: the lcm of
-    the denominators of H's generators' first coordinates."""
-    if isinstance(H, TypeI):
-        return 1 if is_inf(H.alpha) or H.alpha == 0 else H.alpha.numerator
-    if isinstance(H, TypeII):
-        return H.gamma.denominator
-    if isinstance(H, TypeIII):
-        return lcm(H.alpha.numerator, (H.beta / H.alpha).denominator)
-    if isinstance(H, TypeIV):
-        return 1
-    raise TypeError(f"not a subgroup value: {H!r}")
-
-
-def scaled_levels(H: ClosedSubgroup, D: int) -> IntLevels:
-    """The integer level sets of H scaled by D, a multiple of
-    ``level_denominator(H)``."""
+def int_levels(H: ClosedSubgroup) -> IntLevels:
+    """H's integer basis at its least scale: the least D > 0 with D*H
+    inside Z x Z, and 1 for the groups made of lines."""
     if isinstance(H, TypeI):
         if is_inf(H.alpha):
-            return IntLevels(0, 0, 0, True)
-        if H.alpha == 0:
-            return IntLevels(0, 0, 0, False)
-        return IntLevels(D * H.alpha.denominator // H.alpha.numerator, 0, 0, False)
+            return IntLevels(1, 0, 0, 0, True)
+        if not H.alpha:
+            return IntLevels(1, 0, 0, 0, False)
+        # Z*(1/alpha, 0), and 1/alpha = den/num
+        return IntLevels(H.alpha.numerator, H.alpha.denominator, 0, 0, False)
     if isinstance(H, TypeII):
-        return IntLevels(0, D * H.gamma.numerator // H.gamma.denominator, H.n, False)
+        return IntLevels(H.gamma.denominator, 0, H.gamma.numerator, H.n, False)
     if isinstance(H, TypeIII):
-        g = D * H.alpha.denominator // H.alpha.numerator
-        q = D * H.beta.numerator * H.alpha.denominator // (
-            H.beta.denominator * H.alpha.numerator
-        )
-        return IntLevels(g, q % g, H.n, False)
+        a, shift = H.alpha, H.beta / H.alpha  # level-n generator (shift, n)
+        D = lcm(a.numerator, shift.denominator)
+        # beta in [0, 1) puts q = D*shift in [0, g), g = D/alpha
+        return IntLevels(D, D // a.numerator * a.denominator,
+                         D // shift.denominator * shift.numerator, H.n, False)
     if isinstance(H, TypeIV):
-        return IntLevels(0, 0, H.n, True)
+        return IntLevels(1, 0, 0, H.n, True)
     raise TypeError(f"not a subgroup value: {H!r}")
+
+
+def from_levels(L: IntLevels) -> ClosedSubgroup:
+    """The canonical subgroup with integer basis L; L may be at any
+    scale that makes it integral, with q not reduced mod g."""
+    if L.line:
+        return TypeIV(L.n) if L.n else TypeI(INF)
+    if not L.n:
+        return TypeI(Fraction(L.scale, L.g) if L.g else Fraction(0))
+    if not L.g:
+        return TypeII(Fraction(L.q, L.scale), L.n)
+    return TypeIII(Fraction(L.scale, L.g), Fraction(L.q, L.g) % 1, L.n)
 
 
 def membership(H: ClosedSubgroup, p: Tuple) -> bool:
@@ -355,16 +341,17 @@ def membership(H: ClosedSubgroup, p: Tuple) -> bool:
 def elements_in_ball(H: ClosedSubgroup, r) -> BallElements:
     """Exact enumeration of H intersected with the closed ball B(0, r).
 
-    The points come over D = ``level_denominator(H)``: each occupied level
-    m with |m| <= r is read off ``scaled_levels(H, D)`` as one integer
-    progression, cut to |X| <= r*D.  Lines become strips.  A ball over
-    ``MAX_BALL_POINTS`` raises ``InvalidParameter`` before enumeration.
+    The points come over H's least scale D = ``int_levels(H).scale``:
+    each occupied level m with |m| <= r is read off ``int_levels(H)`` as
+    one integer progression, cut to |X| <= r*D.  Lines become strips.  A
+    ball over ``MAX_BALL_POINTS`` raises ``InvalidParameter`` before
+    enumeration.
     """
     r = as_fraction(r)
     if r <= 0:
         raise InvalidParameter("ball radius must be > 0")
-    D = level_denominator(H)
-    L = scaled_levels(H, D)
+    L = int_levels(H)
+    D = L.scale
     R = r.numerator * D // r.denominator  # |X| <= R iff |X / D| <= r
     jmax = floor(r) // L.n if L.n else 0
     if not (L.line or L.g) and L.q:

@@ -385,6 +385,9 @@ _SUITES = {
 }
 SUITE_NAMES = tuple(_SUITES)
 
+#: Largest budget accepted by `run_suite`; suite work grows linearly with it.
+MAX_BUDGET = 10_000
+
 
 def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
     """Run one named suite deterministically under the given seed."""
@@ -392,6 +395,8 @@ def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
     if budget <= 0:
         raise InvalidParameter("budget must be positive")
+    if budget > MAX_BUDGET:
+        raise InvalidParameter(f"budget must be <= {MAX_BUDGET}")
     rng = random.Random(seed)
     cases = _SUITES[name](rng, budget)
     return SuiteReport(name, seed, tuple(cases))

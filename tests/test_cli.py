@@ -188,6 +188,14 @@ class TestVerify:
         assert err == "InvalidParameter: budget must be positive\n"
         assert "Traceback" not in err
 
+    def test_budget_over_the_cap_is_a_domain_error(self, capsys):
+        start = time.perf_counter()
+        code, out = run(["verify", "--suite", "charts", "--budget", "10001"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == "InvalidParameter: budget must be <= 10000\n"
+        assert time.perf_counter() - start < 0.5
+
     def test_all_suites_in_order(self):
         code, out = run(["verify", "--suite", "all", "--budget", "1"])
         lines = out.splitlines()
@@ -209,6 +217,28 @@ class TestPlot:
         assert 'version="1.1"' in svg
         assert svg.count("<circle") == 5  # 4 earring circles + basepoint dot
         assert "stroke-dasharray" in svg
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cones", "65"), ("--cones", "1100"),
+        ("--circles", "1001"), ("--circles", str(10**8)),
+    ])
+    def test_caps(self, flag, value, tmp_path, capsys):
+        out_path = tmp_path / "model.svg"
+        start = time.perf_counter()
+        code, out = run(["plot", "--out", str(out_path), flag, value])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidParameter:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        assert time.perf_counter() - start < 0.5
+
+    def test_largest_accepted_sizes(self, tmp_path):
+        out_path = tmp_path / "model.svg"
+        code, _ = run(["plot", "--out", str(out_path), "--circles", "1000",
+                       "--cones", "64"])
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8").count("<circle") == 1001
 
 
 class TestUsage:
@@ -251,6 +281,8 @@ class TestSuiteApi:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             run_suite("metric", 0, 0)
+        with pytest.raises(ValueError):
+            run_suite("metric", 0, 10**9)
 
     def test_all_suites_pass_at_small_budget(self):
         for name in ("classification", "metric", "charts", "winding",

@@ -16,17 +16,22 @@ from chabauty_rz import (
     TypeII,
     TypeIII,
     TypeIV,
+    classify_from_generators,
     chabauty_distance,
     distance_point_to_subgroup,
     distance_witness,
     hausdorff_inclusion_ok,
+    is_inf,
+    level_set,
     membership,
     parse_subgroup,
     subgroup_subset,
     verify_limit,
 )
 
-from strategies import subgroups_st
+from chabauty_rz.subgroups import LINE
+
+from strategies import generator_lists_st, subgroups_st
 
 TOL = F(1, 1000)
 
@@ -137,6 +142,43 @@ class TestPredicate:
         assert all(b or not a for a, b in zip(chain, chain[1:]))
 
 
+def reference_subset(H, H2) -> bool:
+    """H subset of H2 in Fraction arithmetic: each generator of H (or its
+    line) lies in H2, by ``membership`` and ``level_set``."""
+    if isinstance(H, TypeI):
+        if is_inf(H.alpha):
+            return level_set(H2, 0) is LINE
+        if H.alpha == 0:
+            return True
+        return membership(H2, (1 / H.alpha, 0))
+    if isinstance(H, TypeII):
+        return membership(H2, (H.gamma, H.n))
+    if isinstance(H, TypeIII):
+        return membership(H2, (1 / H.alpha, 0)) and membership(
+            H2, (H.beta / H.alpha, H.n)
+        )
+    if isinstance(H, TypeIV):
+        return isinstance(H2, TypeIV) and H.n % H2.n == 0
+    raise TypeError(f"not a subgroup value: {H!r}")
+
+
+@st.composite
+def subset_pairs_st(draw):
+    """A pair (H, K) with H inside K by construction."""
+    kind = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 6))
+    if kind == 0:
+        gens = draw(generator_lists_st())
+        more = draw(generator_lists_st())
+        return classify_from_generators(gens), classify_from_generators(gens + more)
+    if kind == 1:
+        return TypeIV(draw(st.integers(1, 6)) * n), TypeIV(n)
+    if kind == 2:
+        return TypeI(INF), TypeIV(n)
+    gens = draw(generator_lists_st())
+    return classify_from_generators([(x, n * m) for x, m in gens]), TypeIV(n)
+
+
 class TestSubsetFastPath:
     def test_examples(self):
         assert subgroup_subset(TypeI(F(1)), TypeI(F(2)))
@@ -153,6 +195,18 @@ class TestSubsetFastPath:
     def test_subset_gives_one_sided_zero(self, H, K):
         if subgroup_subset(H, K):
             assert hausdorff_inclusion_ok(H, K, F(1, 50))
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroups_st(), subgroups_st())
+    def test_matches_reference_on_drawn_pairs(self, H, K):
+        assert subgroup_subset(H, K) == reference_subset(H, K)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_pairs_st())
+    def test_matches_reference_on_constructed_subsets(self, pair):
+        H, K = pair
+        assert subgroup_subset(H, K) and reference_subset(H, K)
+        assert subgroup_subset(K, H) == reference_subset(K, H)
 
 
 class TestDistanceProperties:

@@ -18,7 +18,7 @@ from chabauty_rz import (
     totient,
 )
 from chabauty_rz.oracle import lattice_basis
-from chabauty_rz.subgroups import level_denominator
+from chabauty_rz.subgroups import int_levels
 
 from balls import fraction_points, oracle_closure_ball_sweep
 from strategies import generator_lists_st
@@ -76,7 +76,7 @@ class TestLatticeOracle:
     @given(generator_lists_st(), st.integers(1, 4))
     def test_scale_is_the_groups_least_denominator(self, gens, r):
         ball = oracle_closure_ball(gens, r)
-        assert ball.scale == level_denominator(classify_from_generators(gens))
+        assert ball.scale == int_levels(classify_from_generators(gens)).scale
 
     @settings(max_examples=100, deadline=None)
     @given(generator_lists_st(), st.integers(1, 4))

@@ -25,7 +25,7 @@ from chabauty_rz import (
     membership,
     oracle_closure_ball,
 )
-from chabauty_rz.subgroups import LINE, level_denominator, scaled_levels
+from chabauty_rz.subgroups import LINE, from_levels, int_levels
 
 from balls import fraction_points
 from strategies import fractions_st, generator_lists_st, subgroups_st
@@ -120,9 +120,10 @@ class TestLevelSets:
 
     @settings(max_examples=150, deadline=None)
     @given(subgroups_st(), st.integers(-12, 12))
-    def test_scaled_levels_match_level_set(self, H, m):
-        D = level_denominator(H)
-        got = scaled_levels(H, D).at(m)
+    def test_int_levels_match_level_set(self, H, m):
+        L = int_levels(H)
+        D = L.scale
+        got = L.at(m)
         want = level_set(H, m)
         if want is None or want is LINE:
             assert got is want
@@ -132,6 +133,11 @@ class TestLevelSets:
             assert got == (offset * D, 0)
         else:
             assert got == ((offset * D) % (spacing * D), spacing * D)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgroups_st())
+    def test_from_levels_inverts_int_levels(self, H):
+        assert from_levels(int_levels(H)) == H
 
 
 class TestBallsAndDistances:
