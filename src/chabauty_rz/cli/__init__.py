@@ -1,48 +1,42 @@
 """Command-line front end.
 
-Exit codes: 0 success (and passing reports), 1 domain error or a failing
-verification report, 2 parse or usage error.  All numeric input is exact
-rational text; no floats are accepted anywhere.
+Exit codes: 0 success (and passing reports), 1 InvalidParameter (the base
+of every typed domain error), OSError or a failing verification report,
+2 parse or usage error.  All numeric input is exact rational text; no
+floats are accepted anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import re
 import sys
 from typing import List, Optional
 
-from .rationals import fmt_q
-from .subgroups import InvalidParameter, ZeroPoint
-from .metric import (
-    InvalidSequence,
-    ToleranceInvalid,
-    chabauty_distance,
-    verify_limit,
-)
-from .earring import (
+from ..rationals import fmt_q
+from ..subgroups import InvalidParameter
+from ..metric import chabauty_distance, verify_limit
+from ..earring import (
+    MAX_WIND_RATIO,
     AxisCoord,
     ConePoint,
     OnCircle,
     subgroup_to_model,
     winding_count,
 )
-from .denjoy import MAX_GRID, MAX_PRECISION, UnresolvedSample, winding_count_sampled
-from .literals import ParseError, format_subgroup, parse_rational, parse_subgroup
-from .plot import MAX_CIRCLES, MAX_CONES, write_model_svg
-from .suites import MAX_BUDGET, SUITE_NAMES, UnknownSuite, run_suite
-
-_DOMAIN_ERRORS = (
-    InvalidParameter,
-    ZeroPoint,
-    ToleranceInvalid,
-    InvalidSequence,
-    UnknownSuite,
-    UnresolvedSample,
-    OSError,
-)
+from ..denjoy import MAX_GRID, MAX_PRECISION, winding_count_sampled
+from ..literals import ParseError, format_subgroup, parse_rational, parse_subgroup
+from ..plot import MAX_CIRCLES, MAX_CONES, write_model_svg
+from ..suites import MAX_BUDGET, SUITE_NAMES, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-1/2" for a value, as argparse already takes "-1"
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+
     # argparse calls sys.exit(2) on usage errors; route through our codes
     def error(self, message):
         raise _UsageError(message)
@@ -75,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("wind", help="winding count of a cone boundary")
     w.add_argument("--cone", type=int, required=True)
-    w.add_argument("--circle", type=int, required=True)
+    w.add_argument("--circle", type=int, required=True,
+                   help=f"circle index, at most {MAX_WIND_RATIO} times --cone "
+                        "unless --sampled")
     w.add_argument("--sampled", action="store_true")
     w.add_argument("--grid", type=int, default=4096,
                    help=f"sample points for --sampled, 8 to {MAX_GRID}")
@@ -101,16 +97,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_sequence(path: str):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", exc.start, path) from None
     seq = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                seq.append(parse_subgroup(line))
-            except ParseError as exc:
-                raise ParseError(exc.message, exc.position, f"{path}:{lineno}") from exc
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            seq.append(parse_subgroup(line))
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.position, f"{path}:{lineno}") from exc
     return seq
 
 
@@ -192,14 +193,10 @@ def run_cli(argv: Optional[List[str]] = None, out=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except (InvalidParameter, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-if __name__ == "__main__":
-    main()

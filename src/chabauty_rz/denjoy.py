@@ -54,11 +54,11 @@ MAX_PRECISION = 512
 MAX_GRID = 1 << 16
 
 
-class UnresolvedInput(ValueError):
+class UnresolvedInput(InvalidParameter):
     """An unresolved blow-up coordinate reached a map that needs a decision."""
 
 
-class UnresolvedSample(ValueError):
+class UnresolvedSample(InvalidParameter):
     """A sampling grid point hit an unresolved blow-up query."""
 
 

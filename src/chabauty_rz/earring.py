@@ -43,7 +43,7 @@ from .subgroups import (
 )
 
 
-class NonCanonicalModelPoint(ValueError):
+class NonCanonicalModelPoint(InvalidParameter):
     """A model coordinate that is not the image of any canonical subgroup."""
 
 
@@ -198,15 +198,23 @@ def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
 
 # -- winding of cone boundaries over earring circles -------------------------
 
+#: Largest m/k accepted by `winding_count`, which counts one a at a time
+#: (10^6 takes about 0.25 s).
+MAX_WIND_RATIO = 10**6
+
+
 def winding_count(k: int, m: int) -> int:
     """How many times the glued boundary of cone k covers circle A_m.
 
     Each blow-up interval of denominator b wraps once, monotonically,
     around the circle of index k*b, so the count is the number of
-    lowest-terms rationals a/b in [0, 1) with k*b = m.
+    lowest-terms rationals a/b in [0, 1) with k*b = m.  m/k above
+    ``MAX_WIND_RATIO`` raises ``InvalidParameter``.
     """
     if k <= 0 or m <= 0:
         raise InvalidParameter("cone and circle indices must be >= 1")
+    if m > k * MAX_WIND_RATIO:
+        raise InvalidParameter(f"circle / cone must be <= {MAX_WIND_RATIO}")
     if m % k:
         return 0
     b = m // k

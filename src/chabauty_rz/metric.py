@@ -16,6 +16,14 @@ discrete group, a closed form for a strip (I(inf), IV(n)).  The subset
 test that answers d = 0 reads the same levels.  d is always rational and
 comes back as [d, d].
 
+The work is bounded.  No point scores more than 1, so every search stops
+once its best score is 1, and ``distance_witness`` skips the second side
+when the first is 1.  The level loop also stops once |x| alone caps the
+score of a group with one point per level, or once half the spacing of
+a lattice on every level of the other group does.  A search that visits
+more than ``MAX_BALL_POINTS`` levels and candidate points raises
+``InvalidParameter``.
+
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
 cover; it shares nothing with the critical-value computation and serves
@@ -32,8 +40,10 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 from .rationals import as_fraction
 from .subgroups import (
     LINE,
+    MAX_BALL_POINTS,
     ClosedSubgroup,
     IntLevels,
+    InvalidParameter,
     PointRZ,
     distance_point_to_subgroup,
     elements_in_ball,
@@ -42,7 +52,7 @@ from .subgroups import (
 )
 
 
-class ToleranceInvalid(ValueError):
+class ToleranceInvalid(InvalidParameter):
     pass
 
 
@@ -218,14 +228,21 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     point of least |X| in each of the P residue classes suffices, taken
     in decreasing order of dist until dist/D cannot beat the best score;
     the points inside the bound are enumerated instead when they are
-    fewer than P.
+    fewer than P.  Every loop stops once the best score is 1, the most
+    any point can score; when B is a lattice of spacing s on every level
+    of A, dist <= s/2 caps every score.  The search raises
+    ``InvalidParameter`` once it has visited more than ``MAX_BALL_POINTS``
+    levels and points.
     """
     D = A.scale
     DD = D * D
-    bn, bd, wx, wm = 0, 1, 0, 0
+    bn, bd, wx, wm, work = 0, 1, 0, 0, 0
 
     def consider(X: int, m: int, Bm) -> None:
-        nonlocal bn, bd, wx, wm
+        nonlocal bn, bd, wx, wm, work
+        work += 1
+        if work > MAX_BALL_POINTS:
+            raise _over_work_cap()
         if Bm is LINE:
             return
         a = max(abs(X), m * D)
@@ -253,26 +270,36 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     if A.n:
         consider(A.q, A.n, B.at(A.n))
 
+    # No point scores above 1, nor above (s // 2) / D when B holds each
+    # level of A as a lattice of spacing s.  On a lattice level the classes
+    # of A's points modulo B's repeat with period P = s / h.
+    top, h = D, gcd(A.g, B.g)
+    if B.g and not B.line and (A.n % B.n == 0 if B.n else not A.n):
+        top = min(D, B.g // 2)
+    period = B.g // h if B.g else 0
+    if A.g and period:
+        inv, L = pow(A.g // h, -1, period), A.g * period
     m = 0
-    while m == 0 or m * bn < bd:
-        Bm = B.at(m)
+    while top * bd > bn * D and m * bn < bd:
+        work += 1
+        if work > MAX_BALL_POINTS:
+            raise _over_work_cap()
+        Bm, (o, g) = B.at(m), A.at(m)
+        if g == 0 and abs(o) * bn >= D * bd:
+            break  # one point per level, and |o| grows with m
         if Bm is not LINE:
-            o, g = A.at(m)
             if g == 0:
                 consider(o, m, Bm)
             elif Bm is None:
                 consider(o if 2 * o <= g else o - g, m, Bm)
             else:
                 oB, s = Bm
-                h = gcd(g, s)
-                period = s // h if s else 0
                 if 0 < period <= 2 * D * bd // (bn * g) + 2:
                     # Classes by their distance t to B's level, largest
                     # first: X = o + g*k lies at t iff g*k = oB +- t - o
                     # (mod s), and a class scores at most t/D.
-                    inv, L = pow(g // h, -1, period), g * period
                     for t in _descending(s // 2, h, {(o - oB) % h, (oB - o) % h}):
-                        if t * bd <= bn * D:
+                        if t * bd <= bn * D or bn >= bd:
                             break
                         for c in (oB + t - o, oB - t - o):
                             if c % h == 0:
@@ -295,6 +322,13 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     return Fraction(bn, bd), PointRZ(Fraction(wx, D), wm)
 
 
+def _over_work_cap() -> InvalidParameter:
+    return InvalidParameter(
+        f"the distance needs more than MAX_BALL_POINTS = {MAX_BALL_POINTS} "
+        "levels and candidate points"
+    )
+
+
 def _descending(top: int, h: int, residues) -> Iterator[int]:
     """The t in [1, top] with t mod h in ``residues``, largest first."""
     starts = sorted({top - (top - c) % h for c in residues}, reverse=True)
@@ -313,7 +347,9 @@ def _strip_sup(A: IntLevels, B: IntLevels):
     level scores min(1, s/2).  A level m >= 1 where B is a lattice of the
     same spacing scores at most min(1/m, s/2), never more than level 0, so
     beyond level 0 only empty levels of B count, each with 1/m at (0, m);
-    the lowest one wins.  Hence S is always rational.
+    the lowest one wins.  That is level n of A when B has any empty level
+    nk, since B's occupied levels are the multiples of B's n.  Hence S is
+    always rational.
     """
     D, best, point = A.scale, Fraction(0), None
     B0 = B.at(0)
@@ -322,16 +358,18 @@ def _strip_sup(A: IntLevels, B: IntLevels):
         best = Fraction(min(2 * D, s), 2 * D) if s else Fraction(1)
         point = PointRZ(best, 0)  # the maximiser x equals its score
     m = A.n
-    while m and m * best < 1:
-        if B.at(m) is None:
-            return Fraction(1, m), PointRZ(Fraction(0), m)
-        m += A.n
+    if m and m * best < 1 and B.at(m) is None:
+        return Fraction(1, m), PointRZ(Fraction(0), m)
     return best, point
 
 
 def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
-    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H))."""
-    a, b = side_sup(H, H2), side_sup(H2, H)
+    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)); no side
+    exceeds 1, so a first side of 1 is the answer."""
+    a = side_sup(H, H2)
+    if a.value == 1:
+        return a
+    b = side_sup(H2, H)
     return b if b.value > a.value else a
 
 
@@ -375,5 +413,5 @@ def verify_limit(
     return LimitReport(brackets, ok)
 
 
-class InvalidSequence(ValueError):
+class InvalidSequence(InvalidParameter):
     pass

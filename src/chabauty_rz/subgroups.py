@@ -28,10 +28,11 @@ from .rationals import INF, ExtQ, as_fraction, is_inf
 
 
 class InvalidParameter(ValueError):
-    """Raised for parameters outside a family's legal range."""
+    """Input outside its legal range; every typed error of the package
+    except ``literals.ParseError`` derives from it."""
 
 
-class ZeroPoint(ValueError):
+class ZeroPoint(InvalidParameter):
     """Raised when (0, 0) is passed where a nonzero point is required."""
 
 

@@ -46,7 +46,7 @@ from .literals import format_subgroup
 from .oracle import oracle_closure_ball, totient
 
 
-class UnknownSuite(ValueError):
+class UnknownSuite(InvalidParameter):
     pass
 
 

@@ -8,7 +8,8 @@ import time
 import pytest
 
 import chabauty_rz
-from chabauty_rz import run_cli
+from chabauty_rz import InvalidParameter, ParseError, run_cli
+from chabauty_rz.earring import MAX_WIND_RATIO
 from chabauty_rz.suites import SUITE_NAMES, UnknownSuite, run_suite
 
 
@@ -61,6 +62,12 @@ class TestDist:
         b = run(["dist", "I(alpha=2)", "I(alpha=1)"])
         assert a == b
 
+    def test_negative_rational_tolerance_is_a_domain_error(self, capsys):
+        # argparse would take "-1/2" for an option without the wider pattern
+        code, out = run(["dist", "I(alpha=1)", "I(alpha=2)", "--tol", "-1/2"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "ToleranceInvalid: tol must be > 0\n"
+
 
 def eval_frac(text):
     from fractions import Fraction
@@ -106,6 +113,15 @@ class TestLimit:
             "expected a family name or 'gen'\n"
         )
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        seq = tmp_path / "seq.bin"
+        seq.write_bytes(b"II(gamma=8,n=1)\n\xff\n")
+        code, out = run(["limit", "--seq", str(seq), "--limit", "I(alpha=0)"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"parse error: {seq}: at position 16: not UTF-8: invalid start byte\n"
+        )
+
     def test_missing_file(self):
         code, _ = run(["limit", "--seq", "/no/such/file", "--limit", "I(alpha=0)"])
         assert code == 1
@@ -141,6 +157,21 @@ class TestWind:
     def test_domain_error(self):
         code, _ = run(["wind", "--cone", "0", "--circle", "3"])
         assert code == 1
+
+    def test_exact_count_cap(self, capsys):
+        start = time.perf_counter()
+        code, out = run(["wind", "--cone", "2", "--circle", "100000000"])
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"InvalidParameter: circle / cone must be <= {MAX_WIND_RATIO}\n"
+        )
+        assert elapsed < 0.5
+
+    def test_largest_exact_count(self):
+        # totient(10^6) = 4 * 10^5
+        assert run(["wind", "--cone", "3", "--circle", str(3 * MAX_WIND_RATIO)]) == (
+            0, "400000\n")
 
     @pytest.mark.parametrize("flag, value", [("--prec", "100000"), ("--grid", "10000000")])
     def test_work_caps(self, flag, value, capsys):
@@ -271,6 +302,28 @@ class TestRuntimeImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 I(alpha=6) []"
+
+    def test_python_m_runs_the_cli_once_without_a_warning(self):
+        src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "chabauty_rz.cli",
+             "classify", "gen[(1/2,0),(1/3,0)]"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "I(alpha=6)\n", "")
+
+
+class TestErrorContract:
+    def test_every_exported_error_is_invalid_parameter_or_parse_error(self):
+        errors = {name for name in chabauty_rz.__all__
+                  if isinstance(getattr(chabauty_rz, name), type)
+                  and issubclass(getattr(chabauty_rz, name), BaseException)}
+        assert {"InvalidParameter", "ParseError", "ZeroPoint", "ToleranceInvalid",
+                "InvalidSequence", "UnknownSuite", "UnresolvedSample",
+                "UnresolvedInput", "NonCanonicalModelPoint", "BoundaryPoint"} <= errors
+        for name in errors:
+            assert issubclass(getattr(chabauty_rz, name), (InvalidParameter, ParseError)), name
 
 
 class TestSuiteApi:

@@ -64,6 +64,17 @@ EXACT = [
     ("I(alpha=1000)", "I(alpha=1001)", F(1, 2002)),
     ("III(alpha=4,beta=1/3,n=1)", "III(alpha=5,beta=2/5,n=1)", F(37, 300)),
     ("I(alpha=inf)", "IV(n=1)", F(1)),
+    # One point per level far from 0, dense lattices against sparse groups
+    # and a strip over a dense lattice: each answers in bounded work only
+    # through a bound on the levels (|x|, or half B's spacing) or the stop
+    # at 1.
+    ("II(gamma=10000000000,n=1)", "I(alpha=1)", F(1)),
+    ("II(gamma=-10000000000,n=3)", "I(alpha=7/3)", F(6, 7)),
+    ("III(alpha=1000000,beta=0,n=1)", "II(gamma=0,n=1)", F(1)),
+    ("III(alpha=100000,beta=0,n=1)", "II(gamma=1/3,n=1)", F(1)),
+    ("IV(n=1)", "III(alpha=10000000000,beta=0,n=1)", F(1, 20000000000)),
+    ("III(alpha=62/1128827,beta=0,n=58)", "III(alpha=4743898516,beta=0,n=58)", F(1)),
+    ("II(gamma=0,n=1)", "III(alpha=1000000000,beta=1/2,n=1)", F(1)),
 ]
 
 
@@ -93,6 +104,9 @@ class TestExactDistances:
     # Maximisers found by solving g*k = oB +- t - o (mod s) for a class:
     @example(TypeI(F(7, 2)), TypeI(F(7, 9)))
     @example(TypeIII(F(2, 3), F(0), 1), TypeIII(F(2), F(5, 7), 1))
+    # One point per level, far from 0: the level loop stops on |x|.
+    @example(TypeII(F(10**10), 1), TypeI(F(1)))
+    @example(TypeII(F(-10**10), 3), TypeI(F(7, 3)))
     def test_agrees_with_inclusion_predicate(self, H, K):
         # The predicate breaks exactly for eps <= d and holds above it.
         br = chabauty_distance(H, K, TOL)
@@ -104,6 +118,12 @@ class TestExactDistances:
             )
         eps = br.hi + F(1, 10**9)
         assert hausdorff_inclusion_ok(H, K, eps) and hausdorff_inclusion_ok(K, H, eps)
+
+    def test_distance_over_the_work_cap_raises(self):
+        # A dense lattice against a sparse one: d is near 1 but not 1, and
+        # the walk along level 0 would visit about 2 * 10^6 points.
+        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+            chabauty_distance(TypeI(F(2000001, 2)), TypeI(F(1, 10**7)), TOL)
 
 
 class TestPredicate:
