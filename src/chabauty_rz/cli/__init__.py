@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import re
 import sys
+from contextlib import redirect_stdout
 from typing import List, Optional
 
 from ..rationals import fmt_q
@@ -41,9 +43,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # and sys.exit(0) after -h prints the help (only error() passes a
+    # message); return that status instead
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
+
 
 class _UsageError(Exception):
     pass
+
+
+class _Exit(Exception):
+    """argparse stopped after -h; ``args[0]`` is its exit status."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,6 +175,12 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "verify":
+        if args.suite == "all" and args.json:
+            reports = [run_suite(name, args.seed, args.budget) for name in SUITE_NAMES]
+            passed = all(r.passed for r in reports)
+            doc = {"pass": passed, "suites": [r.to_dict() for r in reports]}
+            print(json.dumps(doc, indent=2), file=out)
+            return 0 if passed else 1
         names = SUITE_NAMES if args.suite == "all" else (args.suite,)
         passed = True
         for name in names:
@@ -184,10 +201,13 @@ def run_cli(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out):  # where argparse prints the -h help
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except _Exit as exc:
+        return exc.args[0]
     try:
         return _dispatch(args, out)
     except ParseError as exc:

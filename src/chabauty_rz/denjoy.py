@@ -37,13 +37,12 @@ from (0, 1) onto R; lambda in {0, 1} is the basepoint (t = -+oo).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import atan, lcm, pi
 from typing import List, NamedTuple, Tuple, Union
 
-from .rationals import as_fraction
+from .rationals import Record, as_fraction
 from .earring import BASEPOINT, EarringPoint, OnCircle
 from .subgroups import InvalidParameter
 
@@ -62,20 +61,33 @@ class UnresolvedSample(InvalidParameter):
     """A sampling grid point hit an unresolved blow-up query."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    rational: Fraction  # lowest-terms a/b in [0, 1) labelling the interval
-    lam: Fraction       # affine coordinate in [0, 1] along the interval
+class Interval(Record):
+    # the lowest-terms label a/b in [0, 1) of the interval, and the affine
+    # coordinate in [0, 1] along it
+    __slots__ = ("rational", "lam")
+
+    def __init__(self, rational: Fraction, lam: Fraction):
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "lam", lam)
+
+    def _values(self):
+        return (self.rational, self.lam)
 
 
-@dataclass(frozen=True)
-class IrrationalPoint:
+class IrrationalPoint(Record):
     """Outside every blow-up interval of denominator <= the query precision."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Unresolved:
-    precision_used: int
+
+class Unresolved(Record):
+    __slots__ = ("precision_used",)
+
+    def __init__(self, precision_used: int):
+        object.__setattr__(self, "precision_used", precision_used)
+
+    def _values(self):
+        return (self.precision_used,)
 
 
 DenjoyCoord = Union[Interval, IrrationalPoint, Unresolved]

@@ -27,12 +27,11 @@ model-point equality coincide with subgroup equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Tuple, Union
 
-from .rationals import INF, ExtQ, as_fraction, is_inf
+from .rationals import INF, ExtQ, Record, as_fraction, is_inf
 from .subgroups import (
     ClosedSubgroup,
     InvalidParameter,
@@ -51,33 +50,40 @@ class BoundaryPoint(NonCanonicalModelPoint):
     """A cone-boundary coordinate was passed to an interior-only chart."""
 
 
-@dataclass(frozen=True)
-class AxisCoord:
+class AxisCoord(Record):
     """Point of the cone-accumulation axis [0, INF]."""
 
-    alpha: ExtQ
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not is_inf(self.alpha):
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-            if self.alpha < 0:
+    def __init__(self, alpha: ExtQ):
+        if not is_inf(alpha):
+            alpha = as_fraction(alpha)
+            if alpha < 0:
                 raise InvalidParameter("axis alpha must be >= 0")
+        object.__setattr__(self, "alpha", alpha)
+
+    def _values(self):
+        return (self.alpha,)
 
 
-@dataclass(frozen=True)
-class Basepoint:
+class Basepoint(Record):
     """The common point of all earring circles."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OnCircle:
-    circle: int  # index n of the circle A_n
-    t: Fraction  # slope coordinate tan(theta), finite
 
-    def __post_init__(self):
-        if self.circle <= 0:
+class OnCircle(Record):
+    # index n of the circle A_n, and the finite slope coordinate tan(theta)
+    __slots__ = ("circle", "t")
+
+    def __init__(self, circle: int, t: Fraction):
+        if circle <= 0:
             raise InvalidParameter("circle index must be >= 1")
-        object.__setattr__(self, "t", as_fraction(self.t))
+        object.__setattr__(self, "circle", circle)
+        object.__setattr__(self, "t", as_fraction(t))
+
+    def _values(self):
+        return (self.circle, self.t)
 
 
 EarringPoint = Union[Basepoint, OnCircle]
@@ -93,27 +99,29 @@ def embed_earring(p: EarringPoint) -> Tuple[Fraction, Fraction]:
     return (Fraction(2, p.circle) / den, Fraction(2, p.circle) * p.t / den)
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(Record):
     """Chart coordinate (alpha, beta) on the closed cone number k."""
 
-    k: int
-    alpha: ExtQ
-    beta: Fraction
+    __slots__ = ("k", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.k <= 0:
+    def __init__(self, k: int, alpha: ExtQ, beta: Fraction):
+        if k <= 0:
             raise InvalidParameter("cone index must be >= 1")
-        if is_inf(self.alpha):
-            # apex: all beta identified
-            object.__setattr__(self, "beta", Fraction(0))
-            return
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.alpha < 0:
-            raise InvalidParameter("cone alpha must be in [0, INF]")
-        if not (0 <= self.beta < 1):
-            raise InvalidParameter("cone beta must lie in [0, 1)")
+        if is_inf(alpha):
+            beta = Fraction(0)  # apex: all beta identified
+        else:
+            alpha = as_fraction(alpha)
+            beta = as_fraction(beta)
+            if alpha < 0:
+                raise InvalidParameter("cone alpha must be in [0, INF]")
+            if not (0 <= beta < 1):
+                raise InvalidParameter("cone beta must lie in [0, 1)")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+
+    def _values(self):
+        return (self.k, self.alpha, self.beta)
 
 
 ModelPoint = Union[AxisCoord, ConePoint, Basepoint, OnCircle]

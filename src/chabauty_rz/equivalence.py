@@ -18,17 +18,15 @@ against canonical equality of the chart images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .rationals import as_fraction, is_inf
+from .rationals import Record, as_fraction, is_inf
 from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
 
 
-@dataclass(frozen=True)
-class BoundaryCoord:
+class BoundaryCoord(Record):
     """Cone-boundary point in blown-up coordinates.
 
     ``rational`` is the lowest-terms label a/b of the blow-up interval
@@ -37,18 +35,22 @@ class BoundaryCoord:
     (the interval's ends).
     """
 
-    rational: Optional[Fraction]
-    t: Optional[Fraction]
+    __slots__ = ("rational", "t")
 
-    def __post_init__(self):
-        if self.rational is not None:
-            object.__setattr__(self, "rational", as_fraction(self.rational))
-            if not (0 <= self.rational < 1):
+    def __init__(self, rational: Optional[Fraction], t: Optional[Fraction]):
+        if rational is not None:
+            rational = as_fraction(rational)
+            if not (0 <= rational < 1):
                 raise InvalidParameter("interval label must lie in [0, 1)")
-        if self.t is not None:
-            if self.rational is None:
+        if t is not None:
+            if rational is None:
                 raise InvalidParameter("a slope needs a rational interval label")
-            object.__setattr__(self, "t", as_fraction(self.t))
+            t = as_fraction(t)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "t", t)
+
+    def _values(self):
+        return (self.rational, self.t)
 
 
 Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]

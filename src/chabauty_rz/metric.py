@@ -32,12 +32,11 @@ as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .rationals import as_fraction
+from .rationals import Record, as_fraction
 from .subgroups import (
     LINE,
     MAX_BALL_POINTS,
@@ -390,10 +389,16 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
     return DistanceBracket(d, d)
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    distances: tuple  # of DistanceBracket, one per sequence entry
-    passed: bool
+class LimitReport(Record):
+    # distances: a DistanceBracket per sequence entry
+    __slots__ = ("distances", "passed")
+
+    def __init__(self, distances: tuple, passed: bool):
+        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "passed", passed)
+
+    def _values(self):
+        return (self.distances, self.passed)
 
 
 def verify_limit(

@@ -2,7 +2,8 @@
 
 Subgroup parameters live in [0, oo]; everything else is a plain Fraction.
 The sentinel compares greater than every rational and equal only to itself,
-which is all the ordering the rest of the code needs.
+which is all the ordering the rest of the code needs.  ``Record`` is the
+base of the package's immutable value types.
 """
 
 from __future__ import annotations
@@ -67,3 +68,42 @@ def fmt_q(x: ExtQ) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+class Record:
+    """An immutable value whose fields are the names in ``__slots__``.
+
+    Equal only to an instance of the same class with equal fields, hashed
+    as the tuple of its fields, shown as ``Name(field=value, ...)``.  Each
+    subclass's ``__init__`` checks its arguments and stores them with
+    ``object.__setattr__``; its ``_values`` returns them in ``__slots__``
+    order.  Afterwards the fields cannot change.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

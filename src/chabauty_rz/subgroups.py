@@ -18,13 +18,12 @@ point-to-set distances below are exact decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import floor, gcd, lcm
 from typing import NamedTuple, Sequence, Tuple, Union
 
-from .rationals import INF, ExtQ, as_fraction, is_inf
+from .rationals import INF, ExtQ, Record, as_fraction, is_inf
 
 
 class InvalidParameter(ValueError):
@@ -41,52 +40,65 @@ class PointRZ(NamedTuple):
     level: int
 
 
-@dataclass(frozen=True)
-class TypeI:
-    alpha: ExtQ  # in [0, INF]
+class TypeI(Record):
+    __slots__ = ("alpha",)  # in [0, INF]
 
-    def __post_init__(self):
-        if not is_inf(self.alpha):
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-            if self.alpha < 0:
+    def __init__(self, alpha: ExtQ):
+        if not is_inf(alpha):
+            alpha = as_fraction(alpha)
+            if alpha < 0:
                 raise InvalidParameter("TypeI alpha must be >= 0")
+        object.__setattr__(self, "alpha", alpha)
+
+    def _values(self):
+        return (self.alpha,)
 
 
-@dataclass(frozen=True)
-class TypeII:
-    gamma: Fraction
-    n: int
+class TypeII(Record):
+    __slots__ = ("gamma", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        if self.n <= 0:
+    def __init__(self, gamma: Fraction, n: int):
+        gamma = as_fraction(gamma)
+        if n <= 0:
             raise InvalidParameter("TypeII n must be >= 1")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "n", n)
+
+    def _values(self):
+        return (self.gamma, self.n)
 
 
-@dataclass(frozen=True)
-class TypeIII:
-    alpha: Fraction  # strictly between 0 and INF
-    beta: Fraction   # canonical representative in [0, 1)
-    n: int
+class TypeIII(Record):
+    # alpha strictly between 0 and INF, beta the representative in [0, 1)
+    __slots__ = ("alpha", "beta", "n")
 
-    def __post_init__(self):
-        if is_inf(self.alpha) or as_fraction(self.alpha) <= 0:
+    def __init__(self, alpha: Fraction, beta: Fraction, n: int):
+        if is_inf(alpha) or as_fraction(alpha) <= 0:
             raise InvalidParameter("TypeIII alpha must be in (0, INF)")
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if not (0 <= self.beta < 1):
+        alpha = as_fraction(alpha)
+        beta = as_fraction(beta)
+        if not (0 <= beta < 1):
             raise InvalidParameter("TypeIII beta must lie in [0, 1)")
-        if self.n <= 0:
+        if n <= 0:
             raise InvalidParameter("TypeIII n must be >= 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "n", n)
+
+    def _values(self):
+        return (self.alpha, self.beta, self.n)
 
 
-@dataclass(frozen=True)
-class TypeIV:
-    n: int
+class TypeIV(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n <= 0:
+    def __init__(self, n: int):
+        if n <= 0:
             raise InvalidParameter("TypeIV n must be >= 1")
+        object.__setattr__(self, "n", n)
+
+    def _values(self):
+        return (self.n,)
 
 
 ClosedSubgroup = Union[TypeI, TypeII, TypeIII, TypeIV]

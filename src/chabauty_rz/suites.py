@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .rationals import INF, fmt_q
+from .rationals import INF, Record, fmt_q
 from .subgroups import (
     ClosedSubgroup,
     InvalidParameter,
@@ -50,18 +49,28 @@ class UnknownSuite(InvalidParameter):
     pass
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    id: str
-    passed: bool
-    detail: str
+class CaseResult(Record):
+    __slots__ = ("id", "passed", "detail")
+
+    def __init__(self, id: str, passed: bool, detail: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def _values(self):
+        return (self.id, self.passed, self.detail)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    cases: Tuple[CaseResult, ...]
+class SuiteReport(Record):
+    __slots__ = ("suite", "seed", "cases")
+
+    def __init__(self, suite: str, seed: int, cases: Tuple[CaseResult, ...]):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
+
+    def _values(self):
+        return (self.suite, self.seed, self.cases)
 
     @property
     def passed(self) -> bool:
@@ -75,19 +84,19 @@ class SuiteReport:
         lines.append(f"result {'pass' if self.passed else 'fail'}")
         return "\n".join(lines)
 
+    def to_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "seed": self.seed,
+            "pass": self.passed,
+            "cases": [
+                {"id": c.id, "pass": c.passed, "detail": c.detail}
+                for c in self.cases
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "seed": self.seed,
-                "pass": self.passed,
-                "cases": [
-                    {"id": c.id, "pass": c.passed, "detail": c.detail}
-                    for c in self.cases
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # -- random sampling ---------------------------------------------------------

@@ -236,6 +236,16 @@ class TestVerify:
         assert results == ["result pass"] * len(SUITE_NAMES)
         assert code == 0
 
+    def test_all_suites_json_is_one_document(self):
+        code, out = run(["verify", "--suite", "all", "--seed", "4", "--budget", "1",
+                         "--json"])
+        doc = json.loads(out)
+        assert code == 0
+        assert set(doc) == {"pass", "suites"} and doc["pass"] is True
+        assert [s["suite"] for s in doc["suites"]] == list(SUITE_NAMES)
+        for name, suite in zip(SUITE_NAMES, doc["suites"]):
+            assert suite == json.loads(run_suite(name, 4, 1).to_json())
+
 
 class TestPlot:
     def test_svg_output(self, tmp_path):
@@ -282,6 +292,15 @@ class TestUsage:
         b = run(["verify", "--suite", "metric", "--seed", "11", "--budget", "3"])
         assert a == b
 
+    @pytest.mark.parametrize("argv", [["classify", "-h"], ["--help"], ["dist", "-h"]])
+    def test_help_returns_zero_and_prints_to_out(self, argv, capsys):
+        code, out = run(argv)
+        assert code == 0
+        assert out.startswith("usage: chabauty-rz")
+        if argv[0] == "classify":
+            assert out.startswith("usage: chabauty-rz classify [-h] literal")
+        assert capsys.readouterr() == ("", "")
+
 
 class TestRuntimeImports:
     def test_no_sympy_or_numpy_at_runtime(self):
@@ -292,7 +311,8 @@ class TestRuntimeImports:
             "out = io.StringIO()\n"
             "code = chabauty_rz.run_cli(['classify', 'gen[(1/2,0),(1/3,0)]'], out=out)\n"
             "heavy = sorted(m for m in ('sympy', 'numpy') if m in sys.modules)\n"
-            "print(code, out.getvalue().strip(), heavy)\n"
+            "generators = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+            "print(code, out.getvalue().strip(), heavy, generators)\n"
         )
         src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -301,7 +321,15 @@ class TestRuntimeImports:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 I(alpha=6) []"
+        assert proc.stdout.strip() == "0 I(alpha=6) [] []"
+
+    def test_no_dataclass_in_the_package(self):
+        package = os.path.dirname(chabauty_rz.__file__)
+        for root, _, files in os.walk(package):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name), encoding="utf-8") as fh:
+                        assert "dataclass" not in fh.read(), name
 
     def test_python_m_runs_the_cli_once_without_a_warning(self):
         src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))

@@ -1,10 +1,11 @@
 """A fuzz of the CLI over argv: every call answers or fails with one line.
 
 ``run_cli`` runs in-process on drawn argv for every subcommand: literals
-built from unbounded integers, mutated literal text, flag values and
-``--seq`` files of arbitrary bytes.  Each call must return 0, 1 or 2 with
-nothing escaping it, must print at most one stderr line and no traceback,
-and must finish within the deadline.
+built from unbounded integers, mutated literal text, flag values, ``--seq``
+files of arbitrary bytes, and at times ``-h`` or ``--help`` anywhere in
+argv.  Each call must return 0, 1 or 2 with nothing escaping it, must
+print at most one stderr line and no traceback, and must finish within
+the deadline.
 """
 
 import contextlib
@@ -64,6 +65,7 @@ def mutated(draw, base):
 literal_text = st.one_of(literals(), mutated(literals()), st.text(max_size=20))
 tol = st.one_of(st.just([]), st.tuples(st.just("--tol"), rational_text).map(list))
 budget = st.one_of(st.integers(max_value=50), st.integers(min_value=MAX_BUDGET + 1))
+help_flag = st.sampled_from([[], [], [], ["-h"], ["--help"]])
 
 
 def flag(name, values):
@@ -99,6 +101,9 @@ def commands(draw):
     else:
         argv = (["plot", "--out", SVG_PATH] + draw(flag("--circles", integers))
                 + draw(flag("--cones", integers)))
+    help_args = draw(help_flag)
+    if help_args:
+        argv.insert(draw(st.integers(0, len(argv))), help_args[0])
     return argv, seq
 
 
@@ -109,7 +114,7 @@ def work_dir(tmp_path_factory):
 
 # Pinned: distances that need the level bound, the stop at 1 or the work
 # cap, the exact winding count over its cap, a sequence file that is not
-# UTF-8, and a negative rational tolerance.
+# UTF-8, a negative rational tolerance, and help.
 @settings(max_examples=150, deadline=5000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(commands())
@@ -124,6 +129,8 @@ def work_dir(tmp_path_factory):
 @example((["wind", "--cone", "2", "--circle", "100000000"], b""))
 @example((["limit", "--seq", SEQ_PATH, "--limit", "I(alpha=0)"], b"II(gamma=8,n=1)\n\xff\n"))
 @example((["dist", "I(alpha=1)", "I(alpha=2)", "--tol", "-1/2"], b""))
+@example((["classify", "-h"], b""))
+@example((["wind", "--cone", "x", "--help"], b""))
 def test_every_call_answers_or_fails_with_one_line(work_dir, command):
     argv, seq = command
     argv = [a.replace("{dir}", work_dir) for a in argv]

@@ -1,0 +1,137 @@
+"""The package's value types: immutable, compared by class and fields.
+
+The ``repr`` strings below were recorded from the frozen dataclasses these
+types once were, so the table pins that nothing visible changed.
+"""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from chabauty_rz import InvalidParameter
+from chabauty_rz.denjoy import IRRATIONAL, Interval, IrrationalPoint, Unresolved
+from chabauty_rz.earring import BASEPOINT, AxisCoord, Basepoint, ConePoint, OnCircle
+from chabauty_rz.equivalence import BoundaryCoord
+from chabauty_rz.metric import DistanceBracket, LimitReport
+from chabauty_rz.rationals import INF
+from chabauty_rz.subgroups import TypeI, TypeII, TypeIII, TypeIV
+from chabauty_rz.suites import CaseResult, SuiteReport
+
+#: (value, its field names, its repr), one or more per value type.
+VALUES = [
+    (TypeI(3), ("alpha",), "TypeI(alpha=Fraction(3, 1))"),
+    (TypeI(INF), ("alpha",), "TypeI(alpha=INF)"),
+    (TypeII("-1/2", 2), ("gamma", "n"), "TypeII(gamma=Fraction(-1, 2), n=2)"),
+    (TypeIII(2, F(1, 3), 1), ("alpha", "beta", "n"),
+     "TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 3), n=1)"),
+    (TypeIV(2), ("n",), "TypeIV(n=2)"),
+    (AxisCoord(F(5, 2)), ("alpha",), "AxisCoord(alpha=Fraction(5, 2))"),
+    (BASEPOINT, (), "Basepoint()"),
+    (OnCircle(3, -2), ("circle", "t"), "OnCircle(circle=3, t=Fraction(-2, 1))"),
+    (ConePoint(2, INF, F(1, 2)), ("k", "alpha", "beta"),
+     "ConePoint(k=2, alpha=INF, beta=Fraction(0, 1))"),
+    (ConePoint(1, 0, "1/4"), ("k", "alpha", "beta"),
+     "ConePoint(k=1, alpha=Fraction(0, 1), beta=Fraction(1, 4))"),
+    (Interval(F(1, 3), F(1, 2)), ("rational", "lam"),
+     "Interval(rational=Fraction(1, 3), lam=Fraction(1, 2))"),
+    (IRRATIONAL, (), "IrrationalPoint()"),
+    (Unresolved(64), ("precision_used",), "Unresolved(precision_used=64)"),
+    (CaseResult("c1", True, "d=1/2"), ("id", "passed", "detail"),
+     "CaseResult(id='c1', passed=True, detail='d=1/2')"),
+    (SuiteReport("metric", 3, (CaseResult("c1", False, "x"),)), ("suite", "seed", "cases"),
+     "SuiteReport(suite='metric', seed=3, cases=(CaseResult(id='c1', passed=False, detail='x'),))"),
+    (LimitReport((DistanceBracket(F(0), F(1, 2)),), True), ("distances", "passed"),
+     "LimitReport(distances=(DistanceBracket(lo=Fraction(0, 1), hi=Fraction(1, 2)),), passed=True)"),
+    (BoundaryCoord(F(1, 3), -1), ("rational", "t"),
+     "BoundaryCoord(rational=Fraction(1, 3), t=Fraction(-1, 1))"),
+    (BoundaryCoord(None, None), ("rational", "t"), "BoundaryCoord(rational=None, t=None)"),
+]
+
+IDS = [text for _, _, text in VALUES]
+
+
+def fields_of(value, names):
+    return tuple(getattr(value, name) for name in names)
+
+
+def test_every_value_type_is_in_the_table():
+    assert len({type(value) for value, _, _ in VALUES}) == 15
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
+def test_repr(value, names, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
+def test_hash_is_the_hash_of_the_fields(value, names, text):
+    assert hash(value) == hash(fields_of(value, names))
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
+def test_positional_and_keyword_construction(value, names, text):
+    values = fields_of(value, names)
+    by_position = type(value)(*values)
+    by_keyword = type(value)(**dict(zip(names, values)))
+    assert by_position == value and by_keyword == value
+    assert repr(by_position) == repr(by_keyword) == text
+    assert hash(by_position) == hash(value)
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
+def test_fields_cannot_change(value, names, text):
+    for name in names + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
+def test_copy_and_pickle_keep_the_value(value, names, text):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+
+
+def test_equal_fields_of_different_classes_are_not_equal():
+    assert TypeI(3) != TypeIV(3) and not TypeI(3) == TypeIV(3)
+    assert BASEPOINT != IRRATIONAL
+    assert Interval(F(1, 3), F(1, 2)) != BoundaryCoord(F(1, 3), F(1, 2))
+    assert AxisCoord(2) != TypeI(2)
+    assert TypeIII(2, F(1, 3), 1) != (F(2), F(1, 3), 1)
+    assert len({TypeI(3), TypeIV(3), TypeI(F(6, 2))}) == 2
+
+
+def test_equal_fields_of_one_class_are_equal():
+    assert TypeIII(F(4, 2), "1/3", 1) == TypeIII(2, F(1, 3), 1)
+    assert Basepoint() == BASEPOINT and IrrationalPoint() == IRRATIONAL
+    assert ConePoint(2, INF, F(1, 2)) == ConePoint(2, INF, 0)
+    assert TypeII(F(1, 2), 1) != TypeII(F(1, 2), 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TypeI(-1), "TypeI alpha must be >= 0"),
+    (lambda: TypeII(5, 0), "TypeII n must be >= 1"),
+    (lambda: TypeIII(0, 0, 1), "TypeIII alpha must be in (0, INF)"),
+    (lambda: TypeIII(INF, 0, 1), "TypeIII alpha must be in (0, INF)"),
+    (lambda: TypeIII(-1, 5, 0), "TypeIII alpha must be in (0, INF)"),
+    (lambda: TypeIII(1, 1, 1), "TypeIII beta must lie in [0, 1)"),
+    (lambda: TypeIII(1, F(-1, 2), 0), "TypeIII beta must lie in [0, 1)"),
+    (lambda: TypeIII(1, 0, 0), "TypeIII n must be >= 1"),
+    (lambda: TypeIV(0), "TypeIV n must be >= 1"),
+    (lambda: AxisCoord(F(-1, 3)), "axis alpha must be >= 0"),
+    (lambda: OnCircle(0, 1), "circle index must be >= 1"),
+    (lambda: ConePoint(0, -1, 5), "cone index must be >= 1"),
+    (lambda: ConePoint(1, -1, 5), "cone alpha must be in [0, INF]"),
+    (lambda: ConePoint(1, 1, 1), "cone beta must lie in [0, 1)"),
+    (lambda: BoundaryCoord(1, None), "interval label must lie in [0, 1)"),
+    (lambda: BoundaryCoord(None, 1), "a slope needs a rational interval label"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(InvalidParameter) as info:
+        build()
+    assert str(info.value) == message
