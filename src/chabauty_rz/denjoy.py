@@ -25,6 +25,10 @@ Nothing escalates the precision on its own: `denjoy_xi` returns
 and the CLI's `wind --sampled` exits 1 with that message.  The caller
 chooses another precision or grid.
 
+`winding_count_sampled` counts in two stages: stage one locates every
+grid point once per (grid, B) and caches the least unresolved index;
+stage two, on every call, walks only the samples glued onto A_m.
+
 The work is bounded: the precision is at most MAX_PRECISION (the layout
 holds about 3 B^2 / pi^2 intervals) and the sampling grid at most MAX_GRID
 points; larger values raise `InvalidParameter`.
@@ -39,8 +43,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import atan, lcm, pi
-from typing import List, NamedTuple, Tuple, Union
+from math import atan, gcd, lcm, pi
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .rationals import Record, as_fraction
 from .earring import BASEPOINT, EarringPoint, OnCircle
@@ -166,6 +170,22 @@ def _locate(
     return IRRATIONAL
 
 
+def _label_index(lay: _Layout, p: int, q: int) -> int:
+    """Index of the lowest-terms label p/q, q <= B: the first label >= p/q,
+    which is p/q itself since p/q lies in F_B."""
+    return bisect_left(range(len(lay.nums)), True,
+                       key=lambda j: lay.nums[j] * q >= p * lay.dens[j])
+
+
+@lru_cache(maxsize=64)
+def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
+    """The least j whose sample j/grid is unresolved at precision B, or None."""
+    for j in range(grid):
+        if isinstance(_locate(j, grid, max_denominator), Unresolved):
+            return j
+    return None
+
+
 def blowup_total_length(max_denominator: int) -> Fraction:
     """Truncated circle length L_B (exact rational)."""
     _check_precision(max_denominator)
@@ -181,10 +201,7 @@ def blowup_interval_start(rational, max_denominator: int) -> Fraction:
     if q > max_denominator or not 0 <= p < q:
         raise InvalidParameter("rational exceeds the precision's denominator bound")
     lay = _layout(max_denominator)
-    # first label a/b >= p/q, which is p/q itself since p/q lies in F_B
-    i = bisect_left(range(len(lay.nums)), True,
-                    key=lambda j: lay.nums[j] * q >= p * lay.dens[j])
-    return Fraction(lay.starts[i], lay.scale)
+    return Fraction(lay.starts[_label_index(lay, p, q)], lay.scale)
 
 
 def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
@@ -227,12 +244,14 @@ def glue_boundary(k: int, coord: DenjoyCoord) -> EarringPoint:
 def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> int:
     """Numeric winding of the glued cone-k boundary around circle A_m.
 
-    Walks u = j/grid around the circle, maps each sample through the
-    blow-up and the gluing, and accumulates signed angular progress on
-    A_m in floating point.  Samples landing on other circles sit at the
-    basepoint of A_m.  A sample on A_m at lambda = off/width has slope
-    (2 off - width) width / (off (width - off)); int true division rounds
-    it correctly, so its float is that of `slope_from_lambda`'s Fraction.
+    Walks u = j/grid around the circle through the blow-up and the gluing
+    and sums the signed angular progress on A_m in floating point.  Stage
+    one is the cached `_first_unresolved`.  Stage two sums only the steps
+    into and out of the samples strictly inside an I_{a/b} with k*b = m,
+    in increasing j; every step it skips is pi - pi = 0.0, so the sum is
+    that of the full walk.  A sample at lambda = off/w has slope
+    (2 off - w) w / (off (w - off)); int true division rounds it
+    correctly, so its float is that of `slope_from_lambda`'s Fraction.
     """
     if grid < 8:
         raise InvalidParameter("grid must be >= 8")
@@ -241,23 +260,29 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     if k <= 0 or m <= 0:
         raise InvalidParameter("cone and circle indices must be >= 1")
     _check_precision(max_denominator)
+    bad = _first_unresolved(grid, max_denominator)
+    if bad is not None:
+        raise UnresolvedSample(
+            f"grid point {bad}/{grid} unresolved at precision {max_denominator}"
+        )
+    b, rem = divmod(m, k)
+    if rem or b > max_denominator:
+        return 0
 
-    angles = []
-    for j in range(grid):
-        hit = _locate(j, grid, max_denominator)
-        if isinstance(hit, Unresolved):
-            raise UnresolvedSample(
-                f"grid point {j}/{grid} unresolved at precision {max_denominator}"
-            )
-        if isinstance(hit, tuple) and k * hit[1] == m and 0 < hit[2] < hit[3]:
-            _, _, off, w = hit  # glue_boundary's rule: A_{k b}, 0 < lambda < 1
-            angles.append(2 * atan((2 * off - w) * w / (off * (w - off))))
-        else:
-            angles.append(pi)  # basepoint of A_m
+    lay = _layout(max_denominator)
+    total, w = lay.total, lay.widths[b] * grid
+    angles = {}  # sample j -> its angle on A_m, j increasing
+    for a in range(b):
+        if gcd(a, b) == 1:
+            s = lay.starts[_label_index(lay, a, b)] * grid
+            # glue_boundary's rule 0 < lambda < 1; j < grid, as I_{a/b} ends before L_B
+            for j in range(s // total + 1, (s + w - 1) // total + 1):
+                off = j * total - s
+                angles[j] = 2 * atan((2 * off - w) * w / (off * (w - off)))
 
     progress = 0.0
-    for j in range(grid):
-        d = angles[(j + 1) % grid] - angles[j]
+    for j in sorted({i - 1 for i in angles} | angles.keys()):
+        d = angles.get(j + 1, pi) - angles.get(j, pi)  # sample 0 (= grid) is at pi
         while d <= -pi:
             d += 2 * pi
         while d > pi:

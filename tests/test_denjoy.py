@@ -24,7 +24,13 @@ from chabauty_rz import (
     winding_count,
     winding_count_sampled,
 )
-from chabauty_rz.denjoy import MAX_GRID, MAX_PRECISION, _layout
+from chabauty_rz.denjoy import (
+    MAX_GRID,
+    MAX_PRECISION,
+    _first_unresolved,
+    _label_index,
+    _layout,
+)
 
 
 # -- reference blow-up, in Fractions, from the definition ----------------------
@@ -139,6 +145,12 @@ class TestLayoutShape:
         assert all(a * d < c * b for (a, b), (c, d) in zip(labels, labels[1:]))
         assert all(s < t for s, t in zip(lay.starts, lay.starts[1:]))
         assert lay.starts[-1] + lay.widths[lay.dens[-1]] < lay.total
+
+    @pytest.mark.parametrize("B", [1, 2, 7, 40])
+    def test_label_index(self, B):
+        lay = _layout(B)
+        for i, (a, b) in enumerate(zip(lay.nums, lay.dens)):
+            assert _label_index(lay, a, b) == i
 
 
 class TestWorkBounds:
@@ -261,3 +273,57 @@ class TestSampledWinding:
             winding_count_sampled(1, 1, 4, 8)
         with pytest.raises(InvalidParameter):
             winding_count_sampled(1, 1, MAX_GRID + 1, 8)
+
+
+SMALL_PAIRS = [(k, m) for k in range(1, 7) for m in range(1, 7)]
+# every grid point is resolved at (200, 20); at (64, 1) the first
+# unresolved one is 33/64 (and at (200, 8) it is 88/200)
+RESOLVED = (200, 20)
+UNRESOLVED_64_1 = (UnresolvedSample, "grid point 33/64 unresolved at precision 1")
+
+
+class TestTwoStages:
+    """Stage one caches the least unresolved grid point per (grid, B);
+    stage two walks only the samples on A_m.  Cold and warm calls, and
+    calls at other keys in between, must all give the reference walk."""
+
+    def test_cold_and_warm_match_reference(self):
+        for k, m in SMALL_PAIRS:
+            want = outcome(ref_wind, k, m, *RESOLVED)
+            _first_unresolved.cache_clear()
+            assert outcome(winding_count_sampled, k, m, *RESOLVED) == want  # cold
+            assert outcome(winding_count_sampled, k, m, *RESOLVED) == want  # warm
+        assert _first_unresolved(*RESOLVED) is None
+        assert _first_unresolved(200, 8) == 88
+
+    def test_unresolved_key_before_and_after_a_resolved_one(self):
+        _first_unresolved.cache_clear()
+        assert outcome(ref_wind, 1, 1, 64, 1) == UNRESOLVED_64_1
+        for k, m in SMALL_PAIRS:
+            assert outcome(winding_count_sampled, k, m, 64, 1) == UNRESOLVED_64_1
+        assert winding_count_sampled(1, 1, *RESOLVED) == ref_wind(1, 1, *RESOLVED)
+        for k, m in SMALL_PAIRS:
+            assert outcome(winding_count_sampled, k, m, 64, 1) == UNRESOLVED_64_1
+        assert _first_unresolved(64, 1) == 33
+
+    @pytest.mark.parametrize("k, m", [(2, 3), (4, 6), (6, 1), (1, 21), (2, 42)])
+    def test_no_interval_on_the_circle(self, k, m):
+        # m % k != 0, or m/k above the precision: every sample at the basepoint
+        assert winding_count_sampled(k, m, *RESOLVED) == 0
+        assert ref_wind(k, m, *RESOLVED) == 0
+
+    def test_unresolved_wins_over_an_empty_circle(self):
+        want = (UnresolvedSample, "grid point 88/200 unresolved at precision 8")
+        for k, m in [(1, 9), (2, 3)]:
+            assert outcome(winding_count_sampled, k, m, 200, 8) == want
+            assert outcome(ref_wind, k, m, 200, 8) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(8, 200), st.sampled_from([1, 2, 8, 13, 20]),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                    min_size=3, max_size=6))
+    @example(200, 20, [(1, 1), (2, 2), (1, 3)])
+    def test_calls_in_sequence(self, grid, B, pairs):
+        for k, m in pairs:
+            assert outcome(winding_count_sampled, k, m, grid, B) == outcome(
+                ref_wind, k, m, grid, B)
