@@ -16,12 +16,13 @@ import sys
 from contextlib import redirect_stdout
 from typing import List, Optional
 
-from ..rationals import fmt_q
+from ..rationals import fmt_q, fmt_record
 from ..subgroups import InvalidParameter
 from ..metric import chabauty_distance, verify_limit
 from ..earring import (
     MAX_WIND_RATIO,
     AxisCoord,
+    Basepoint,
     ConePoint,
     OnCircle,
     subgroup_to_model,
@@ -126,15 +127,18 @@ def _read_sequence(path: str):
     return seq
 
 
+_MODEL_NAMES = {AxisCoord: "segment", ConePoint: "cone", OnCircle: "earring"}
+
+
 def _model_text(H) -> str:
     m = subgroup_to_model(H)
-    if isinstance(m, AxisCoord):
-        return f"segment(alpha={fmt_q(m.alpha)})"
-    if isinstance(m, ConePoint):
-        return f"cone(k={m.k},alpha={fmt_q(m.alpha)},beta={fmt_q(m.beta)})"
-    if isinstance(m, OnCircle):
-        return f"earring(circle={m.circle},t={fmt_q(m.t)})"
-    return "earring(basepoint)"
+    if isinstance(m, Basepoint):
+        return "earring(basepoint)"
+    return fmt_record(_MODEL_NAMES[type(m)], m)
+
+
+def _bracket_text(br) -> str:
+    return f"[{fmt_q(br.lo)},{fmt_q(br.hi)}]"
 
 
 def _dispatch(args, out) -> int:
@@ -148,7 +152,7 @@ def _dispatch(args, out) -> int:
             parse_subgroup(args.right),
             parse_rational(args.tol),
         )
-        print(f"[{fmt_q(br.lo)},{fmt_q(br.hi)}]", file=out)
+        print(_bracket_text(br), file=out)
         return 0
 
     if args.command == "limit":
@@ -156,7 +160,7 @@ def _dispatch(args, out) -> int:
         limit = parse_subgroup(args.limit)
         report = verify_limit(seq, limit, parse_rational(args.tol), args.tail)
         for i, br in enumerate(report.distances, start=1):
-            print(f"term {i}: [{fmt_q(br.lo)},{fmt_q(br.hi)}]", file=out)
+            print(f"term {i}: {_bracket_text(br)}", file=out)
         print(f"result {'pass' if report.passed else 'fail'}", file=out)
         return 0 if report.passed else 1
 
@@ -175,18 +179,15 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "verify":
+        names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+        reports = [run_suite(name, args.seed, args.budget) for name in names]
+        passed = all(r.passed for r in reports)
         if args.suite == "all" and args.json:
-            reports = [run_suite(name, args.seed, args.budget) for name in SUITE_NAMES]
-            passed = all(r.passed for r in reports)
             doc = {"pass": passed, "suites": [r.to_dict() for r in reports]}
             print(json.dumps(doc, indent=2), file=out)
-            return 0 if passed else 1
-        names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-        passed = True
-        for name in names:
-            report = run_suite(name, args.seed, args.budget)
-            print(report.to_json() if args.json else report.to_text(), file=out)
-            passed = passed and report.passed
+        else:
+            for report in reports:
+                print(report.to_json() if args.json else report.to_text(), file=out)
         return 0 if passed else 1
 
     if args.command == "plot":

@@ -74,9 +74,6 @@ class Interval(Record):
         object.__setattr__(self, "rational", rational)
         object.__setattr__(self, "lam", lam)
 
-    def _values(self):
-        return (self.rational, self.lam)
-
 
 class IrrationalPoint(Record):
     """Outside every blow-up interval of denominator <= the query precision."""
@@ -89,9 +86,6 @@ class Unresolved(Record):
 
     def __init__(self, precision_used: int):
         object.__setattr__(self, "precision_used", precision_used)
-
-    def _values(self):
-        return (self.precision_used,)
 
 
 DenjoyCoord = Union[Interval, IrrationalPoint, Unresolved]

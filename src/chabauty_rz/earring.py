@@ -62,9 +62,6 @@ class AxisCoord(Record):
                 raise InvalidParameter("axis alpha must be >= 0")
         object.__setattr__(self, "alpha", alpha)
 
-    def _values(self):
-        return (self.alpha,)
-
 
 class Basepoint(Record):
     """The common point of all earring circles."""
@@ -81,9 +78,6 @@ class OnCircle(Record):
             raise InvalidParameter("circle index must be >= 1")
         object.__setattr__(self, "circle", circle)
         object.__setattr__(self, "t", as_fraction(t))
-
-    def _values(self):
-        return (self.circle, self.t)
 
 
 EarringPoint = Union[Basepoint, OnCircle]
@@ -119,9 +113,6 @@ class ConePoint(Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    def _values(self):
-        return (self.k, self.alpha, self.beta)
 
 
 ModelPoint = Union[AxisCoord, ConePoint, Basepoint, OnCircle]

@@ -49,9 +49,6 @@ class BoundaryCoord(Record):
         object.__setattr__(self, "rational", rational)
         object.__setattr__(self, "t", t)
 
-    def _values(self):
-        return (self.rational, self.t)
-
 
 Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from .rationals import INF, fmt_q
+from .rationals import INF, fmt_record
 from .subgroups import (
     ClosedSubgroup,
     TypeI,
@@ -137,15 +137,18 @@ def parse_rational(text: str) -> Fraction:
     return q
 
 
-# Each family's literal: its name and its fields in order, each with the
-# reader of its value.  ``parse_subgroup`` tries the names in this order;
-# ``try_word`` needs a word boundary, so "I" never matches inside "III".
+# Each family's literal: its name, and its fields in ``__slots__`` order,
+# each with the reader of its value.  ``parse_subgroup`` tries the names in
+# this order; ``try_word`` needs a word boundary, so "I" never matches
+# inside "III".
 _FAMILIES = {
-    TypeIII: ("III", (("alpha", _Cursor.rational), ("beta", _Cursor.rational),
-                      ("n", _Cursor.integer))),
-    TypeIV: ("IV", (("n", _Cursor.integer),)),
-    TypeII: ("II", (("gamma", _Cursor.rational), ("n", _Cursor.integer))),
-    TypeI: ("I", (("alpha", _Cursor.extended_rational),)),
+    cls: (family, tuple(zip(cls.__slots__, readers)))
+    for cls, family, readers in (
+        (TypeIII, "III", (_Cursor.rational, _Cursor.rational, _Cursor.integer)),
+        (TypeIV, "IV", (_Cursor.integer,)),
+        (TypeII, "II", (_Cursor.rational, _Cursor.integer)),
+        (TypeI, "I", (_Cursor.extended_rational,)),
+    )
 }
 
 
@@ -186,6 +189,4 @@ def format_subgroup(H: ClosedSubgroup) -> str:
     entry = _FAMILIES.get(type(H))
     if entry is None:
         raise TypeError(f"not a subgroup value: {H!r}")
-    family, fields = entry
-    body = ",".join([f"{name}={fmt_q(getattr(H, name))}" for name, _ in fields])
-    return f"{family}({body})"
+    return fmt_record(entry[0], H)

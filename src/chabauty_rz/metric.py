@@ -397,9 +397,6 @@ class LimitReport(Record):
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "passed", passed)
 
-    def _values(self):
-        return (self.distances, self.passed)
-
 
 def verify_limit(
     seq: Sequence[ClosedSubgroup],

@@ -50,9 +50,6 @@ class TypeI(Record):
                 raise InvalidParameter("TypeI alpha must be >= 0")
         object.__setattr__(self, "alpha", alpha)
 
-    def _values(self):
-        return (self.alpha,)
-
 
 class TypeII(Record):
     __slots__ = ("gamma", "n")
@@ -63,9 +60,6 @@ class TypeII(Record):
             raise InvalidParameter("TypeII n must be >= 1")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "n", n)
-
-    def _values(self):
-        return (self.gamma, self.n)
 
 
 class TypeIII(Record):
@@ -85,9 +79,6 @@ class TypeIII(Record):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "n", n)
 
-    def _values(self):
-        return (self.alpha, self.beta, self.n)
-
 
 class TypeIV(Record):
     __slots__ = ("n",)
@@ -96,9 +87,6 @@ class TypeIV(Record):
         if n <= 0:
             raise InvalidParameter("TypeIV n must be >= 1")
         object.__setattr__(self, "n", n)
-
-    def _values(self):
-        return (self.n,)
 
 
 ClosedSubgroup = Union[TypeI, TypeII, TypeIII, TypeIV]

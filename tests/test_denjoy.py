@@ -123,7 +123,8 @@ class TestAgainstReference:
         for v in edge_points(B, i):
             assert denjoy_xi(v, B) == ref_xi(v, B)
 
-    # B = 1 and 2 put samples exactly on interval ends (lambda = 1)
+    # at B = 1 and 2 every grid from 8 to 200 has an unresolved sample, so
+    # those draws compare the UnresolvedSample message; B = 8 resolves some
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 12), st.integers(8, 200),
            st.sampled_from([1, 2, 8, 8]))

@@ -15,7 +15,7 @@ from chabauty_rz.denjoy import IRRATIONAL, Interval, IrrationalPoint, Unresolved
 from chabauty_rz.earring import BASEPOINT, AxisCoord, Basepoint, ConePoint, OnCircle
 from chabauty_rz.equivalence import BoundaryCoord
 from chabauty_rz.metric import DistanceBracket, LimitReport
-from chabauty_rz.rationals import INF
+from chabauty_rz.rationals import INF, Record
 from chabauty_rz.subgroups import TypeI, TypeII, TypeIII, TypeIV
 from chabauty_rz.suites import CaseResult, SuiteReport
 
@@ -57,7 +57,10 @@ def fields_of(value, names):
 
 
 def test_every_value_type_is_in_the_table():
-    assert len({type(value) for value, _, _ in VALUES}) == 15
+    package_records = {
+        cls for cls in Record.__subclasses__() if cls.__module__.startswith("chabauty_rz.")
+    }
+    assert {type(value) for value, _, _ in VALUES} == package_records
 
 
 @pytest.mark.parametrize("value, names, text", VALUES, ids=IDS)
@@ -135,3 +138,47 @@ def test_validation_messages(build, message):
     with pytest.raises(InvalidParameter) as info:
         build()
     assert str(info.value) == message
+
+
+# Records with 0, 1 and 3 fields and no per-class code beyond __init__; at
+# module level, so that pickle finds them.
+class NoFields(Record):
+    __slots__ = ()
+
+
+class OneField(Record):
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        object.__setattr__(self, "a", a)
+
+
+class ThreeFields(Record):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+
+@pytest.mark.parametrize("cls, text", [
+    (NoFields, "NoFields()"),
+    (OneField, "OneField(a=1)"),
+    (ThreeFields, "ThreeFields(a=1, b=2, c=3)"),
+])
+def test_every_slot_is_a_field(cls, text):
+    fields = tuple(range(1, len(cls.__slots__) + 1))
+    value = cls(*fields)
+    assert repr(value) == text
+    assert value == cls(*fields) and hash(value) == hash(fields)
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and repr(twin) == text
+    for i, name in enumerate(cls.__slots__):
+        changed = fields[:i] + (-1,) + fields[i + 1:]
+        other = cls(*changed)
+        assert other != value and hash(other) == hash(changed) != hash(fields)
+        assert f"{name}=-1" in repr(other)
+        for twin in (copy.copy(other), pickle.loads(pickle.dumps(other))):
+            assert twin == other != value
