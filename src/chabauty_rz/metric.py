@@ -9,20 +9,26 @@ so the infimum has the closed form
     d(H, H') = max(S(H, H'), S(H', H)),
     S(H, H') = sup over p in H of min(1/|p|, delta(p, H')),
 
-and it is attained.  ``chabauty_distance`` computes it from critical
-values on the integer level sets of ``subgroups.int_levels``, both groups
-rescaled to one common scale: a finite set of candidate points for a
-discrete group, a closed form for a strip (I(inf), IV(n)).  The subset
-test that answers d = 0 reads the same levels.  d is always rational and
-comes back as [d, d].
+and it is attained.  ``chabauty_distance`` computes it in one integer
+pass per pair: the integer levels of ``subgroups.int_levels`` are taken
+once for both groups, at one common scale D, and that one pair of levels
+feeds both subset tests (which answer S = 0) and both sides.  A side is
+the best of a finite set of candidate points for a discrete group, or a
+closed form for a strip (I(inf), IV(n)); scores are int fractions
+compared by cross-multiplication, and witnesses int points at scale D.
+So d is always rational, ``chabauty_distance`` builds one ``Fraction``
+and returns [d, d], and ``distance_witness`` and ``side_sup`` build a
+point only for the side they return.
 
 The work is bounded.  No point scores more than 1, so every search stops
-once its best score is 1, and ``distance_witness`` skips the second side
-when the first is 1.  The level loop also stops once |x| alone caps the
-score of a group with one point per level, or once half the spacing of
-a lattice on every level of the other group does.  A search that visits
-more than ``MAX_BALL_POINTS`` levels and candidate points raises
-``InvalidParameter``.
+once its best score is 1, and the second side is skipped when the first
+is 1.  The level loop also stops once |x| alone caps the score of a
+group with one point per level, or once half the spacing of a lattice on
+every level of the other group does.  Each visited level and candidate
+point is charged one unit per 64-bit word of D, so the cap covers the
+arithmetic on long literals as well as the count: a search over more
+than ``MAX_BALL_POINTS`` units raises ``InvalidParameter``, and every D
+below 2^64 costs 1 per level or candidate.
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
@@ -210,11 +216,35 @@ def side_sup(A: ClosedSubgroup, B: ClosedSubgroup) -> Witness:
     Both groups are symmetric under p -> -p, so only levels m >= 0 are
     walked, and only while 1/m can still beat the best score.
     """
-    Al, Bl = _common_levels(A, B)
-    if _levels_subset(Al, Bl):
-        return Witness(Fraction(0), None, A, B)
-    value, point = (_strip_sup if Al.line else _discrete_sup)(Al, Bl)
-    return Witness(value, point, A, B)
+    return _witness(_side(*_common_levels(A, B)), A, B)
+
+
+def _side(A: IntLevels, B: IntLevels):
+    """S(A, B) in ints at the common scale: (num, den, X, W, m), the score
+    num/den attained at the point (X/W, m); (0, 1, 0, 1, 0) when A lies
+    in B.  No score exceeds 1, and num == den exactly when it is 1."""
+    if _levels_subset(A, B):
+        return 0, 1, 0, 1, 0
+    return (_strip_sup if A.line else _discrete_sup)(A, B)
+
+
+def _witness(side, inner: ClosedSubgroup, outer: ClosedSubgroup) -> Witness:
+    num, den, X, W, m = side
+    point = PointRZ(Fraction(X, W), m) if num else None
+    return Witness(Fraction(num, den), point, inner, outer)
+
+
+def _larger_side(H: IntLevels, K: IntLevels):
+    """The larger of S(H, K) and S(K, H), and whether it is S(K, H).  No
+    side exceeds 1, so a first side of 1 is the answer; a tie keeps the
+    first."""
+    a = _side(H, K)
+    if a[0] == a[1]:
+        return a, False
+    b = _side(K, H)
+    if b[0] * a[1] > a[0] * b[1]:
+        return b, True
+    return a, False
 
 
 def _discrete_sup(A: IntLevels, B: IntLevels):
@@ -229,31 +259,39 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     the points inside the bound are enumerated instead when they are
     fewer than P.  Every loop stops once the best score is 1, the most
     any point can score; when B is a lattice of spacing s on every level
-    of A, dist <= s/2 caps every score.  The search raises
-    ``InvalidParameter`` once it has visited more than ``MAX_BALL_POINTS``
-    levels and points.
+    of A, dist <= s/2 caps every score.  Each visited level and candidate
+    point costs one unit of work per 64-bit word of D, so that the
+    arithmetic on D's digits is charged too, and the search raises
+    ``InvalidParameter`` once the work passes ``MAX_BALL_POINTS``.
+    Returns the side as ``_side`` does, with the witness at W = D.
     """
     D = A.scale
     DD = D * D
+    unit = (D.bit_length() + 63) // 64
     bn, bd, wx, wm, work = 0, 1, 0, 0, 0
 
     def consider(X: int, m: int, Bm) -> None:
         nonlocal bn, bd, wx, wm, work
-        work += 1
+        work += unit
         if work > MAX_BALL_POINTS:
             raise _over_work_cap()
         if Bm is LINE:
             return
-        a = max(abs(X), m * D)
+        # a = max(|X|, m*D) and dist = the distance from X to B's level,
+        # by comparisons rather than the slower calls to max, min and abs.
+        a = X if X >= 0 else -X
+        if a < m * D:
+            a = m * D
         if Bm is None:
             vn, vd = D, a
         else:
             o, s = Bm
             if s:
-                r = (X - o) % s
-                dist = min(r, s - r)
+                dist = (X - o) % s
+                if 2 * dist > s:
+                    dist = s - dist
             else:
-                dist = abs(X - o)
+                dist = X - o if X >= o else o - X
             vn, vd = (D, a) if DD <= a * dist else (dist, D)
         if vn * bd > bn * vd:
             bn, bd, wx, wm = vn, vd, X, m
@@ -262,79 +300,89 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     # Also from level 0's points next to x = 1: there 1/|x| = 1 caps no
     # distance below 1, so they often score near the sup, which keeps the
     # walk below short.
-    if A.g:
-        B0, near = B.at(0), D - D % A.g
-        for X in {A.g, near, near + A.g} - {0}:
+    Ag, Aq, An = A.g, A.q, A.n
+    B0 = B.at(0)
+    if Ag:
+        near = D - D % Ag
+        for X in {Ag, near, near + Ag} - {0}:
             consider(X, 0, B0)
-    if A.n:
-        consider(A.q, A.n, B.at(A.n))
+    if An:
+        consider(Aq, An, B.at(An))
 
     # No point scores above 1, nor above (s // 2) / D when B holds each
     # level of A as a lattice of spacing s.  On a lattice level the classes
     # of A's points modulo B's repeat with period P = s / h.
-    top, h = D, gcd(A.g, B.g)
-    if B.g and not B.line and (A.n % B.n == 0 if B.n else not A.n):
+    top, h = D, gcd(Ag, B.g)
+    if B.g and not B.line and (An % B.n == 0 if B.n else not An):
         top = min(D, B.g // 2)
     period = B.g // h if B.g else 0
-    if A.g and period:
-        inv, L = pow(A.g // h, -1, period), A.g * period
-    m = 0
+    if Ag and period:
+        inv, L = pow(Ag // h, -1, period), Ag * period
+    m, o, Bm = 0, 0, B0  # A's level m is o + Ag*Z, or {o} when Ag == 0
     while top * bd > bn * D and m * bn < bd:
-        work += 1
+        work += unit
         if work > MAX_BALL_POINTS:
             raise _over_work_cap()
-        Bm, (o, g) = B.at(m), A.at(m)
-        if g == 0 and abs(o) * bn >= D * bd:
+        if not Ag and abs(o) * bn >= D * bd:
             break  # one point per level, and |o| grows with m
         if Bm is not LINE:
-            if g == 0:
+            if not Ag:
                 consider(o, m, Bm)
             elif Bm is None:
-                consider(o if 2 * o <= g else o - g, m, Bm)
+                consider(o if 2 * o <= Ag else o - Ag, m, Bm)
             else:
                 oB, s = Bm
-                if 0 < period <= 2 * D * bd // (bn * g) + 2:
+                if 0 < period <= 2 * D * bd // (bn * Ag) + 2:
                     # Classes by their distance t to B's level, largest
                     # first: X = o + g*k lies at t iff g*k = oB +- t - o
                     # (mod s), and a class scores at most t/D.
-                    for t in _descending(s // 2, h, {(o - oB) % h, (oB - o) % h}):
+                    for t in _descending(s // 2, h, (o - oB) % h):
                         if t * bd <= bn * D or bn >= bd:
                             break
                         for c in (oB + t - o, oB - t - o):
                             if c % h == 0:
-                                X = (o + g * (c // h * inv % period)) % L
+                                X = (o + Ag * (c // h * inv % period)) % L
                                 consider(X if 2 * X <= L else X - L, m, Bm)
                 else:
                     # Outward from 0 in order of |X|, while the bound holds.
-                    right, left, mD = o, o - g, m * D
+                    right, left, mD = o, o - Ag, m * D
                     while True:
                         if right <= -left:
-                            X, right = right, right + g
+                            X, right = right, right + Ag
                         else:
-                            X, left = left, left - g
+                            X, left = left, left - Ag
                         if max(abs(X), mD) * bn >= D * bd:
                             break
                         consider(X, m, Bm)
-        if not A.n:
+        if not An:
             break
-        m += A.n
-    return Fraction(bn, bd), PointRZ(Fraction(wx, D), wm)
+        m += An
+        o = (o + Aq) % Ag if Ag else o + Aq
+        Bm = B.at(m)
+    return bn, bd, wx, D, wm
 
 
 def _over_work_cap() -> InvalidParameter:
     return InvalidParameter(
         f"the distance needs more than MAX_BALL_POINTS = {MAX_BALL_POINTS} "
-        "levels and candidate points"
+        "units of work, 1 per level or candidate point per 64-bit word of "
+        "the common scale"
     )
 
 
-def _descending(top: int, h: int, residues) -> Iterator[int]:
-    """The t in [1, top] with t mod h in ``residues``, largest first."""
-    starts = sorted({top - (top - c) % h for c in residues}, reverse=True)
-    for base in range(0, top, h):
-        for t0 in starts:
-            if t0 - base >= 1:
-                yield t0 - base
+def _descending(top: int, h: int, r: int) -> Iterator[int]:
+    """The t in [1, top] with t = +-r (mod h), largest first."""
+    t, u = top - (top - r) % h, top - (top + r) % h
+    if t < u:
+        t, u = u, t
+    elif t == u:
+        u = 0  # r = -r (mod h): one progression
+    # Both lie in (top - h, top], so t, u, t - h, u - h, ... descends.
+    while t >= 1:
+        yield t
+        if u >= 1:
+            yield u
+        t, u = t - h, u - h
 
 
 def _strip_sup(A: IntLevels, B: IntLevels):
@@ -350,26 +398,23 @@ def _strip_sup(A: IntLevels, B: IntLevels):
     nk, since B's occupied levels are the multiples of B's n.  Hence S is
     always rational.
     """
-    D, best, point = A.scale, Fraction(0), None
+    num, den = 0, 1
     B0 = B.at(0)
     if B0 is not LINE:
-        s = B0[1]
-        best = Fraction(min(2 * D, s), 2 * D) if s else Fraction(1)
-        point = PointRZ(best, 0)  # the maximiser x equals its score
+        s, D2 = B0[1], 2 * A.scale
+        num, den = (min(D2, s), D2) if s else (1, 1)
     m = A.n
-    if m and m * best < 1 and B.at(m) is None:
-        return Fraction(1, m), PointRZ(Fraction(0), m)
-    return best, point
+    if m and m * num < den and B.at(m) is None:
+        return 1, m, 0, 1, m
+    return num, den, num, den, 0  # the maximiser x equals its score
 
 
 def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
     """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)); no side
-    exceeds 1, so a first side of 1 is the answer."""
-    a = side_sup(H, H2)
-    if a.value == 1:
-        return a
-    b = side_sup(H2, H)
-    return b if b.value > a.value else a
+    exceeds 1, so a first side of 1 is the answer, and a tie gives
+    S(H, H2)."""
+    side, swapped = _larger_side(*_common_levels(H, H2))
+    return _witness(side, H2, H) if swapped else _witness(side, H, H2)
 
 
 def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBracket:
@@ -385,7 +430,8 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
         raise ToleranceInvalid("tol must be > 0")
     if H == H2:
         return DistanceBracket(Fraction(0), Fraction(0))
-    d = distance_witness(H, H2).value
+    side, _ = _larger_side(*_common_levels(H, H2))
+    d = Fraction(side[0], side[1])
     return DistanceBracket(d, d)
 
 

@@ -269,6 +269,8 @@ class IntLevels(NamedTuple):
     def over(self, D: int) -> "IntLevels":
         """The same group at scale D, a multiple of ``scale``."""
         k = D // self.scale
+        if k == 1:
+            return self
         return IntLevels(D, k * self.g, k * self.q, self.n, self.line)
 
     def at(self, m: int):
@@ -303,11 +305,15 @@ def int_levels(H: ClosedSubgroup) -> IntLevels:
     if isinstance(H, TypeII):
         return IntLevels(H.gamma.denominator, 0, H.gamma.numerator, H.n, False)
     if isinstance(H, TypeIII):
-        a, shift = H.alpha, H.beta / H.alpha  # level-n generator (shift, n)
-        D = lcm(a.numerator, shift.denominator)
-        # beta in [0, 1) puts q = D*shift in [0, g), g = D/alpha
-        return IntLevels(D, D // a.numerator * a.denominator,
-                         D // shift.denominator * shift.numerator, H.n, False)
+        # The level-n generator is (beta/alpha, n); beta/alpha = sn/sd in
+        # lowest terms, by one gcd since alpha and beta are reduced.
+        an, ad = H.alpha.numerator, H.alpha.denominator
+        sn, sd = H.beta.numerator * ad, H.beta.denominator * an
+        c = gcd(sn, sd)
+        sn, sd = sn // c, sd // c
+        D = lcm(an, sd)
+        # beta in [0, 1) puts q = D*beta/alpha in [0, g), g = D/alpha
+        return IntLevels(D, D // an * ad, D // sd * sn, H.n, False)
     if isinstance(H, TypeIV):
         return IntLevels(1, 0, 0, H.n, True)
     raise TypeError(f"not a subgroup value: {H!r}")

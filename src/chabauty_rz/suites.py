@@ -192,6 +192,21 @@ def _suite_metric(rng: random.Random, budget: int) -> List[CaseResult]:
         cases.append(
             CaseResult(f"monotone-{i:03d}", chain_ok, f"eps chain start {eps}")
         )
+
+        # The kernel against its oracle: the inclusion predicate breaks
+        # at eps = d and holds on both sides at every eps > d.
+        d = ab.lo
+        if d > 0:
+            at_d = hausdorff_inclusion_ok(H, K, d) and hausdorff_inclusion_ok(K, H, d)
+            above = d * Fraction(1001, 1000)
+            holds = hausdorff_inclusion_ok(H, K, above) and hausdorff_inclusion_ok(K, H, above)
+            cases.append(
+                CaseResult(
+                    f"oracle-{i:03d}",
+                    not at_d and holds,
+                    f"d={d}: both sides hold at d: {at_d}, at 1001d/1000: {holds}",
+                )
+            )
     return cases
 
 

@@ -25,11 +25,13 @@ from chabauty_rz import (
     level_set,
     membership,
     parse_subgroup,
+    side_sup,
     subgroup_subset,
     verify_limit,
 )
 
 from chabauty_rz.subgroups import LINE
+from chabauty_rz.suites import run_suite
 
 from strategies import generator_lists_st, subgroups_st
 
@@ -78,6 +80,22 @@ EXACT = [
 ]
 
 
+def check_witness(H, K):
+    """Check ``distance_witness(H, K)`` against the Fraction oracle and
+    both sides; returns its value."""
+    w = distance_witness(H, K)
+    assert w.value == chabauty_distance(H, K, TOL).lo
+    assert w.value == max(side_sup(H, K).value, side_sup(K, H).value)
+    p = w.point
+    if w.value == 0:
+        assert p is None and H == K
+        return w.value
+    assert membership(w.inner, p)
+    size = max(abs(p.x), abs(p.level))
+    assert min(1 / F(size), distance_point_to_subgroup(p, w.outer)) == w.value
+    return w.value
+
+
 class TestExactDistances:
     @pytest.mark.parametrize("left,right,d", EXACT)
     def test_exact_value(self, left, right, d):
@@ -87,12 +105,13 @@ class TestExactDistances:
 
     @pytest.mark.parametrize("left,right,d", EXACT)
     def test_witness_attains_distance(self, left, right, d):
-        w = distance_witness(parse_subgroup(left), parse_subgroup(right))
-        assert w.value == d
-        p = w.point
-        assert membership(w.inner, p)
-        size = max(abs(p.x), abs(p.level))
-        assert min(1 / F(size), distance_point_to_subgroup(p, w.outer)) == d
+        H, K = parse_subgroup(left), parse_subgroup(right)
+        assert check_witness(H, K) == d
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroups_st(), subgroups_st())
+    def test_witness_attains_distance_on_drawn_pairs(self, H, K):
+        check_witness(H, K)
 
     @settings(max_examples=300, deadline=None)
     @given(subgroups_st(), subgroups_st())
@@ -124,6 +143,17 @@ class TestExactDistances:
         # the walk along level 0 would visit about 2 * 10^6 points.
         with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
             chabauty_distance(TypeI(F(2000001, 2)), TypeI(F(1, 10**7)), TOL)
+
+    def test_work_is_charged_by_the_size_of_the_scale(self):
+        # The same shape of pair with 1000-digit literals: each candidate
+        # costs 52 units at a scale of 3320 bits, so the refusal comes
+        # after about 19000 candidates, not 10^6.
+        p = 10**999
+        H, K = TypeI(F(2 * p + 1, 2)), TypeI(F(1, 10**1007))
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+            chabauty_distance(H, K, TOL)
+        assert time.perf_counter() - start < 10
 
 
 class TestPredicate:
@@ -252,6 +282,15 @@ class TestDistanceProperties:
     def test_invalid_tolerance(self):
         with pytest.raises(ToleranceInvalid):
             chabauty_distance(TypeI(F(1)), TypeI(F(2)), 0)
+
+
+def test_metric_suite_checks_the_kernel_against_its_oracle():
+    report = run_suite("metric", 0, 20)
+    oracle = [c for c in report.cases if c.id.startswith("oracle-")]
+    positive = [c for c in report.cases
+                if c.id.startswith("symmetry-") and "lo=Fraction(0, 1)" not in c.detail]
+    assert len(oracle) == len(positive) > 0
+    assert all(c.passed for c in oracle)
 
 
 class TestVerifyLimit:

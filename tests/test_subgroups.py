@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from chabauty_rz import (
     distance_point_to_subgroup,
     elements_in_ball,
     eta_cyclic,
+    is_inf,
     level_set,
     membership,
     oracle_closure_ball,
@@ -133,6 +135,21 @@ class TestLevelSets:
             assert got == (offset * D, 0)
         else:
             assert got == ((offset * D) % (spacing * D), spacing * D)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgroups_st())
+    def test_int_levels_scale_is_least(self, H):
+        # The least D that clears the x-coordinates of H's basis, found by
+        # Fraction division.
+        if isinstance(H, TypeIII):
+            xs = [1 / H.alpha, H.beta / H.alpha]
+        elif isinstance(H, TypeII):
+            xs = [H.gamma]
+        elif isinstance(H, TypeI) and not is_inf(H.alpha) and H.alpha:
+            xs = [1 / H.alpha]
+        else:
+            xs = []
+        assert int_levels(H).scale == lcm(1, *(x.denominator for x in xs))
 
     @settings(max_examples=150, deadline=None)
     @given(subgroups_st())
