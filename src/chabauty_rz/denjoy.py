@@ -25,9 +25,17 @@ Nothing escalates the precision on its own: `denjoy_xi` returns
 and the CLI's `wind --sampled` exits 1 with that message.  The caller
 chooses another precision or grid.
 
-`winding_count_sampled` counts in two stages: stage one locates every
-grid point once per (grid, B) and caches the least unresolved index;
-stage two, on every call, walks only the samples glued onto A_m.
+The layout is built in integers over one common denominator.  The Farey
+recurrence runs only up to 1/2; the labels above it are mirrored under
+x -> 1 - x, which keeps widths.
+
+`winding_count_sampled` works by runs of samples, not by single samples,
+in two stages.  Stage one, once per (grid, B), walks the intervals and
+gaps that hold grid points.  It jumps over each interval, whose samples
+all resolve, and tests a gap's guard bands at its first and last samples
+only; the least unresolved index is cached.  Stage two, on every
+call, streams the runs of samples glued onto A_m in increasing order and
+sums their angle steps.
 
 The work is bounded: the precision is at most MAX_PRECISION (the layout
 holds about 3 B^2 / pi^2 intervals) and the sampling grid at most MAX_GRID
@@ -113,29 +121,41 @@ class _Layout(NamedTuple):
 def _layout(max_denominator: int) -> _Layout:
     """The truncated blow-up at precision B, in integers over one denominator.
 
-    The labels are the Farey sequence F_B without its last term 1/1, made
-    by the next-term recurrence: after consecutive terms a/b < c/d, the
-    next is (k*c - a)/(k*d - b) with k = (B + b) // d.  Every b^3 with
-    b <= B divides D = lcm(1..B)^3, so each width D/b^3 and each D*a/b is
-    an integer, and so are the start numerators D*Psi_B(a/b) and D*L_B.
+    The labels are the Farey sequence F_B without its last term 1/1.  The
+    next-term recurrence (after consecutive terms a/b < c/d, the next is
+    (k*c - a)/(k*d - b) with k = (B + b) // d) makes the labels below 1/2;
+    the rest mirror them under x -> 1 - x, which keeps widths.  With acc the
+    widths below 1/2, the widths above it sum to acc - D, so
+    D*L_B = 2*acc + w(1/2) and D*Psi_B(1 - x) = D + D*L_B - D*Psi_B(x) - w(x).
+    Every b^3 with b <= B divides D = lcm(1..B)^3, so each width D/b^3 and
+    each D*a/b is an integer, and so are the start numerators and D*L_B.
     """
     B = max_denominator
     scale = lcm(*range(1, B + 1)) ** 3
     widths = [0] + [scale // b**3 for b in range(1, B + 1)]
+    if B == 1:  # 1/2 is not a label
+        return _Layout([0], [1], [0], 2 * scale, scale, widths)
     per_unit = [0] + [scale // b for b in range(1, B + 1)]
     nums: List[int] = []
     dens: List[int] = []
     starts: List[int] = []
     acc = 0
     a, b, c, d = 0, 1, 1, B
-    while a < b:  # stops at the term 1/1
+    while 2 * a < b:  # stops at the term 1/2
         nums.append(a)
         dens.append(b)
         starts.append(a * per_unit[b] + acc)
         acc += widths[b]
         k = (B + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return _Layout(nums, dens, starts, scale + acc, scale, widths)
+    total = 2 * acc + widths[2]
+    top = [scale + total - w for w in widths]  # so each mirror is one subtraction
+    # the labels in (0, 1/2), decreasing, so that their mirrors increase
+    mirrored = range(len(nums) - 1, 0, -1)
+    nums += [1] + [dens[i] - nums[i] for i in mirrored]
+    starts += [per_unit[2] + acc] + [top[dens[i]] - starts[i] for i in mirrored]
+    dens += [2] + [dens[i] for i in mirrored]
+    return _Layout(nums, dens, starts, total, scale, widths)
 
 
 def _locate(
@@ -173,11 +193,92 @@ def _label_index(lay: _Layout, p: int, q: int) -> int:
 
 @lru_cache(maxsize=64)
 def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
-    """The least j whose sample j/grid is unresolved at precision B, or None."""
-    for j in range(grid):
-        if isinstance(_locate(j, grid, max_denominator), Unresolved):
+    """The least j whose sample j/grid is unresolved at precision B, or None.
+
+    `_locate`'s rule, applied to runs of samples.  Arc positions are scaled
+    by D * grid, so sample j sits at j * total.  The walk visits only the
+    intervals and gaps that hold samples.  Every sample inside an interval
+    resolves, so it jumps to the first sample past the interval's end.  That
+    sample is the only one that can lie in the band past the end.  Both
+    bands are w/B^2 wide, so a band before the next start that held two
+    samples would be wider than their spacing, and the band past the end
+    would hold that first sample.  So the band before the next start is
+    left to test only at the gap's last sample.
+    """
+    lay = _layout(max_denominator)
+    starts, dens, widths, total = lay.starts, lay.dens, lay.widths, lay.total
+    sq = max_denominator * max_denominator
+    last = len(starts) - 1
+    i = j = 0
+    while j < grid:
+        pos = j * total
+        i = bisect_right(starts, pos // grid, i) - 1
+        w = widths[dens[i]] * grid
+        end = starts[i] * grid + w
+        if pos <= end:
+            j = end // total + 1
+            pos = j * total
+        # j is the least sample past the end of I_i; the gap runs to nxt
+        nxt = starts[i + 1] * grid if i < last else total * grid
+        if pos >= nxt:
+            continue
+        if (pos - end) * sq < w:
             return j
+        after = -(-nxt // total)  # the first sample at or past nxt
+        if i < last and (nxt - (after - 1) * total) * sq < w:
+            return after - 1
+        j = after
     return None
+
+
+def _inside(s: int, w: int, total: int) -> range:
+    """The samples j strictly inside the interval [s, s + w] when sample j
+    sits at j * total: s < j * total < s + w, so that 0 < lambda < 1,
+    `glue_boundary`'s rule for a point off the basepoint."""
+    return range(s // total + 1, (s + w - 1) // total + 1)
+
+
+def _turn(d: float) -> float:
+    """The angle step d brought into (-pi, pi]."""
+    while d <= -pi:
+        d += 2 * pi
+    while d > pi:
+        d -= 2 * pi
+    return d
+
+
+def _progress(b: int, grid: int, max_denominator: int) -> float:
+    """Signed angular progress, in radians, of the walk u = j/grid on the
+    circle that the intervals of denominator b wrap onto.
+
+    Every sample off those intervals is at the basepoint, angle pi, and
+    each step between two such samples is pi - pi = 0.0.  So only the steps
+    into, along and out of each run of samples strictly inside an I_{a/b}
+    are summed, streamed in increasing j; the sum is that of the full walk.
+    A sample at lambda = off/w has slope (2 off - w) w / (off (w - off));
+    int true division rounds it correctly, so its float is that of
+    `slope_from_lambda`'s Fraction.
+    """
+    lay = _layout(max_denominator)
+    total, w = lay.total, lay.widths[b] * grid
+    progress, last, prev = 0.0, -2, pi
+    for a in range(b):
+        if gcd(a, b) != 1:
+            continue
+        s = lay.starts[_label_index(lay, a, b)] * grid
+        for j in _inside(s, w, total):  # j < grid, as I_{a/b} ends before L_B
+            off = j * total - s
+            angle = 2 * atan((2 * off - w) * w / (off * (w - off)))
+            if j == last + 1:
+                progress += _turn(angle - prev)
+            else:
+                if last >= 0:
+                    progress += _turn(pi - prev)  # out of the previous run
+                progress += _turn(angle - pi)
+            last, prev = j, angle
+    if last >= 0:
+        progress += _turn(pi - prev)
+    return progress
 
 
 def blowup_total_length(max_denominator: int) -> Fraction:
@@ -201,7 +302,7 @@ def blowup_interval_start(rational, max_denominator: int) -> Fraction:
 def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
     """Locate the circle point u against the blown-up circle at precision B."""
     u = as_fraction(u)
-    if not (0 <= u < 1):
+    if not 0 <= u.numerator < u.denominator:  # the denominator is positive
         raise InvalidParameter("u must lie in [0, 1)")
     _check_precision(max_denominator)
     hit = _locate(u.numerator, u.denominator, max_denominator)
@@ -239,13 +340,11 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     """Numeric winding of the glued cone-k boundary around circle A_m.
 
     Walks u = j/grid around the circle through the blow-up and the gluing
-    and sums the signed angular progress on A_m in floating point.  Stage
-    one is the cached `_first_unresolved`.  Stage two sums only the steps
-    into and out of the samples strictly inside an I_{a/b} with k*b = m,
-    in increasing j; every step it skips is pi - pi = 0.0, so the sum is
-    that of the full walk.  A sample at lambda = off/w has slope
-    (2 off - w) w / (off (w - off)); int true division rounds it
-    correctly, so its float is that of `slope_from_lambda`'s Fraction.
+    and sums the signed angular progress on A_m in floating point, in two
+    stages.  Stage one, `_first_unresolved`, is cached per (grid, B): any
+    unresolved sample raises `UnresolvedSample` naming the least one.
+    Stage two, `_progress`, runs on every call and sums only the steps at
+    the samples strictly inside an I_{a/b} with k*b = m.
     """
     if grid < 8:
         raise InvalidParameter("grid must be >= 8")
@@ -262,24 +361,4 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     b, rem = divmod(m, k)
     if rem or b > max_denominator:
         return 0
-
-    lay = _layout(max_denominator)
-    total, w = lay.total, lay.widths[b] * grid
-    angles = {}  # sample j -> its angle on A_m, j increasing
-    for a in range(b):
-        if gcd(a, b) == 1:
-            s = lay.starts[_label_index(lay, a, b)] * grid
-            # glue_boundary's rule 0 < lambda < 1; j < grid, as I_{a/b} ends before L_B
-            for j in range(s // total + 1, (s + w - 1) // total + 1):
-                off = j * total - s
-                angles[j] = 2 * atan((2 * off - w) * w / (off * (w - off)))
-
-    progress = 0.0
-    for j in sorted({i - 1 for i in angles} | angles.keys()):
-        d = angles.get(j + 1, pi) - angles.get(j, pi)  # sample 0 (= grid) is at pi
-        while d <= -pi:
-            d += 2 * pi
-        while d > pi:
-            d -= 2 * pi
-        progress += d
-    return round(progress / (2 * pi))
+    return round(_progress(b, grid, max_denominator) / (2 * pi))

@@ -1,7 +1,10 @@
+import random
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import accumulate
-from math import atan, gcd, pi
+from math import atan, gcd, lcm, pi
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +31,11 @@ from chabauty_rz.denjoy import (
     MAX_GRID,
     MAX_PRECISION,
     _first_unresolved,
+    _inside,
     _label_index,
     _layout,
+    _locate,
+    _progress,
 )
 
 
@@ -77,6 +83,68 @@ def ref_wind(k, m, grid, B):
             d -= 2 * pi
         progress += d
     return round(progress / (2 * pi))
+
+
+# -- reference kernel pieces: the plain loops the blow-up kernel replaced ------
+
+def ref_farey_layout(B):
+    """The layout from the full Farey next-term recurrence, as a tuple."""
+    scale = lcm(*range(1, B + 1)) ** 3
+    widths = [0] + [scale // b**3 for b in range(1, B + 1)]
+    nums, dens, starts = [], [], []
+    acc = 0
+    a, b, c, d = 0, 1, 1, B
+    while a < b:  # stops at the term 1/1
+        nums.append(a)
+        dens.append(b)
+        starts.append(a * scale // b + acc)
+        acc += widths[b]
+        k = (B + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return nums, dens, starts, scale + acc, scale, widths
+
+
+def ref_first_unresolved(grid, B):
+    """Stage one sample by sample: `_locate` at every grid point."""
+    for j in range(grid):
+        if isinstance(_locate(j, grid, B), Unresolved):
+            return j
+    return None
+
+
+def ref_progress(b, grid, B):
+    """Stage two as a dict of angles by sample and a sorted walk of steps."""
+    lay = _layout(B)
+    total, w = lay.total, lay.widths[b] * grid
+    angles = {}
+    for a in range(b):
+        if gcd(a, b) == 1:
+            s = lay.starts[_label_index(lay, a, b)] * grid
+            for j in range(s // total + 1, (s + w - 1) // total + 1):
+                off = j * total - s
+                angles[j] = 2 * atan((2 * off - w) * w / (off * (w - off)))
+    progress = 0.0
+    for j in sorted({i - 1 for i in angles} | angles.keys()):
+        d = angles.get(j + 1, pi) - angles.get(j, pi)
+        while d <= -pi:
+            d += 2 * pi
+        while d > pi:
+            d -= 2 * pi
+        progress += d
+    return progress
+
+
+def gap_band(grid, B, j):
+    """Where an unresolved sample j/grid lies in its gap: 'left' is the band
+    past the end of the interval before it, 'right' the band before the
+    next start.  Also whether j is the gap's first sample."""
+    lay = _layout(B)
+    pos = j * lay.total
+    i = bisect_right(lay.starts, pos // grid) - 1
+    w = lay.widths[lay.dens[i]] * grid
+    end = lay.starts[i] * grid + w
+    side = "left" if (pos - end) * B * B < w else "right"
+    return side, j == end // lay.total + 1
 
 
 def outcome(fn, *args):
@@ -212,8 +280,10 @@ class TestLocation:
         assert denjoy_xi(F(9, 17), 2) == Unresolved(2)
 
     def test_domain_checks(self):
-        with pytest.raises(InvalidParameter):
-            denjoy_xi(F(3, 2), 8)
+        for u in (F(3, 2), F(1), F(-1, 3), -1, "7/4"):
+            with pytest.raises(InvalidParameter, match=r"^u must lie in \[0, 1\)$"):
+                denjoy_xi(u, 8)
+        assert denjoy_xi(0, 8) == Interval(F(0), F(0))
         with pytest.raises(InvalidParameter):
             denjoy_xi(F(1, 2), 0)
 
@@ -328,3 +398,53 @@ class TestTwoStages:
         for k, m in pairs:
             assert outcome(winding_count_sampled, k, m, grid, B) == outcome(
                 ref_wind, k, m, grid, B)
+
+
+BENCH_KEYS = [(4096, 64), (4096, 128), (4096, 256)]
+_draw = random.Random(16)
+DRAWN_KEYS = [(_draw.randint(8, 6000), _draw.randint(12, 120)) for _ in range(6)]
+
+
+class TestKernelAgainstLoops:
+    """The blow-up kernel, which works by runs of samples and mirrors half
+    the layout, against the plain loops it replaced."""
+
+    @pytest.mark.parametrize("B", list(range(1, 65)) + [128, 255, 256, 512])
+    def test_mirrored_layout(self, B):
+        assert tuple(_layout(B)) == ref_farey_layout(B)
+
+    def test_stage_one(self):
+        rng = random.Random(15)
+        drawn = {(rng.randint(8, 6000), rng.randint(1, 120)) for _ in range(1550)}
+        keys = BENCH_KEYS + sorted(drawn, key=lambda key: key[1])  # each layout once
+        assert len(keys) >= 1500
+        bands = Counter()
+        for grid, B in keys:
+            j = _first_unresolved.__wrapped__(grid, B)  # not the cached answer
+            assert j == ref_first_unresolved(grid, B)
+            if j is not None:
+                bands[gap_band(grid, B, j)] += 1
+        # both bands answer, the right one also past the gap's first sample;
+        # a sample in the left band is never the least unless it is the first
+        assert bands["left", True] and bands["right", False]
+        assert not bands["left", False]
+
+    @pytest.mark.parametrize("grid, B", BENCH_KEYS + DRAWN_KEYS)
+    def test_stage_two(self, grid, B):
+        bs = {m // k for k in range(1, 7) for m in range(1, 13) if m % k == 0}
+        for b in sorted(b for b in bs if b <= B):
+            assert _progress(b, grid, B) == ref_progress(b, grid, B)
+
+
+class TestInside:
+    """The samples strictly inside [s, s + w] when sample j sits at
+    j * total: one on either end has lambda 0 or 1 and is glued to the
+    basepoint, so it is left out."""
+
+    def test_ends_are_left_out(self):
+        assert list(_inside(30, 45, 10)) == [4, 5, 6, 7]  # s = 3 * total
+        assert list(_inside(25, 45, 10)) == [3, 4, 5, 6]  # s + w = 7 * total
+        assert list(_inside(30, 40, 10)) == [4, 5, 6]  # both ends
+        assert list(_inside(30, 10, 10)) == []  # only the two ends
+        assert list(_inside(31, 8, 10)) == []  # no sample at all
+        assert list(_inside(31, 9, 10)) == []  # s + w = 4 * total
