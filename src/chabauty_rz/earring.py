@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple, Union
 
-from .rationals import INF, ExtQ, Record, as_fraction, is_inf
+from .rationals import INF, ExtQ, Record, as_fraction
 from .subgroups import (
     ClosedSubgroup,
     InvalidParameter,
@@ -56,9 +56,9 @@ class AxisCoord(Record):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: ExtQ):
-        if not is_inf(alpha):
+        if alpha is not INF:
             alpha = as_fraction(alpha)
-            if alpha < 0:
+            if alpha.numerator < 0:
                 raise InvalidParameter("axis alpha must be >= 0")
         object.__setattr__(self, "alpha", alpha)
 
@@ -101,14 +101,14 @@ class ConePoint(Record):
     def __init__(self, k: int, alpha: ExtQ, beta: Fraction):
         if k <= 0:
             raise InvalidParameter("cone index must be >= 1")
-        if is_inf(alpha):
+        if alpha is INF:
             beta = Fraction(0)  # apex: all beta identified
         else:
             alpha = as_fraction(alpha)
             beta = as_fraction(beta)
-            if alpha < 0:
+            if alpha.numerator < 0:
                 raise InvalidParameter("cone alpha must be in [0, INF]")
-            if not (0 <= beta < 1):
+            if not (0 <= beta.numerator < beta.denominator):
                 raise InvalidParameter("cone beta must lie in [0, 1)")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha", alpha)
@@ -137,26 +137,26 @@ def chart_psi_II_n(n: int, p: EarringPoint) -> ClosedSubgroup:
         raise InvalidParameter("n must be >= 1")
     if isinstance(p, Basepoint):
         return TypeI(Fraction(0))
-    return TypeII(p.circle * p.t, p.circle * n)
+    return TypeII(Fraction(p.circle * p.t.numerator, p.t.denominator), p.circle * n)
 
 
 def chart_psi_II_n_inverse(n: int, H: ClosedSubgroup) -> EarringPoint:
     """Inverse on the chart's image: requires n to divide the cyclic level."""
-    if isinstance(H, TypeI) and H.alpha == 0:
+    if isinstance(H, TypeI) and not H.alpha:
         return BASEPOINT
     if not isinstance(H, TypeII) or H.n % n:
         raise InvalidParameter("subgroup is not in the image of this chart")
     b = H.n // n
-    return OnCircle(b, H.gamma / b)
+    return OnCircle(b, Fraction(H.gamma.numerator, H.gamma.denominator * b))
 
 
 def chart_psi_III_n(n: int, c: ConePoint) -> ClosedSubgroup:
     """Interior cone coordinate -> lattice family; apex -> R x nZ."""
     if c.k != n:
         raise InvalidParameter("cone index does not match the chart level")
-    if is_inf(c.alpha):
+    if c.alpha is INF:
         return TypeIV(n)
-    if c.alpha == 0:
+    if not c.alpha:
         raise BoundaryPoint("alpha = 0 belongs to the gluing, not the chart")
     return TypeIII(c.alpha, c.beta, n)
 
@@ -172,7 +172,7 @@ def chart_psi_III_n_inverse(n: int, H: ClosedSubgroup) -> ConePoint:
 # -- the global model chart --------------------------------------------------
 
 def subgroup_to_model(H: ClosedSubgroup) -> ModelPoint:
-    if isinstance(H, TypeI) and H.alpha != 0:
+    if isinstance(H, TypeI) and H.alpha:
         return AxisCoord(chart_psi_I_inverse(H))
     if isinstance(H, (TypeI, TypeII)):
         return chart_psi_II_n_inverse(1, H)
@@ -183,7 +183,7 @@ def subgroup_to_model(H: ClosedSubgroup) -> ModelPoint:
 
 def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
     if isinstance(m, AxisCoord):
-        if m.alpha == 0:
+        if not m.alpha:
             raise NonCanonicalModelPoint(
                 "axis alpha must be > 0; alpha = 0 is the earring basepoint"
             )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .rationals import Record, as_fraction, is_inf
+from .rationals import Record, as_fraction
 from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
 
@@ -40,7 +40,7 @@ class BoundaryCoord(Record):
     def __init__(self, rational: Optional[Fraction], t: Optional[Fraction]):
         if rational is not None:
             rational = as_fraction(rational)
-            if not (0 <= rational < 1):
+            if not (0 <= rational.numerator < rational.denominator):
                 raise InvalidParameter("interval label must lie in [0, 1)")
         if t is not None:
             if rational is None:
@@ -60,14 +60,15 @@ def _classify(coord: Coordinate):
     if isinstance(c, AxisCoord):
         if k != 0:
             raise InvalidParameter("axis coordinates live at level 0")
-        if not is_inf(c.alpha) and c.alpha == 0:
+        if not c.alpha:
             return ("basepoint",)
         return ("axis", c.alpha)
     if isinstance(c, BoundaryCoord):
         if c.rational is None or c.t is None or k == 0:
             return ("basepoint",)
-        b = c.rational.denominator
-        return ("cyclic", b * k, Fraction(c.t, k))
+        # the cyclic group Z(b*t, b*k) is named by b*k and t/k
+        slope = Fraction(c.t.numerator, c.t.denominator * k)
+        return ("cyclic", c.rational.denominator * k, slope.numerator, slope.denominator)
     raise InvalidParameter(f"not a coordinate: {c!r}")
 
 

@@ -1,6 +1,6 @@
 """Parsing and printing of subgroup literals.
 
-Grammar accepted (whitespace allowed between tokens):
+Grammar accepted:
 
     I(alpha=<q|inf>)
     II(gamma=<q>,n=<int>)
@@ -8,18 +8,30 @@ Grammar accepted (whitespace allowed between tokens):
     IV(n=<int>)
     gen[(<q>,<int>),...]
 
-where <q> is an integer or numerator/denominator pair like -3/4.  The
-``gen[...]`` form names the closure of the subgroup generated by the
-listed points and goes through the classifier; the keyword forms go
-through parameter canonicalization (beta mod 1, sign normalization).
-``format_subgroup`` prints the canonical literal, and parsing it back
-round-trips to the same value.
+where <int> is an optional sign and digits, and <q> an <int> or a
+numerator/denominator pair like -3/4.  Digits are what ``int()`` reads
+(Unicode decimal digits).  Whitespace (what ``str.isspace`` accepts) may
+go before and after every token, but not between a sign and its digits
+nor inside a name or a number.  The ``gen[...]`` form names the closure
+of the subgroup generated by the listed points and goes through the
+classifier; the keyword forms go through parameter canonicalization
+(beta mod 1, sign normalization).  ``format_subgroup`` prints the
+canonical literal, and parsing it back round-trips to the same value.
+
+Each form is declared once, in ``_FORMS``, as its pieces: tokens to
+expect and values to read.  The pieces joined give one pattern per form,
+compiled on the form's first use, whose ``fullmatch`` checks a literal
+and captures its values in one call.  A text that does not match is
+stepped through the same pieces, one at a time, by ``_literal_walk``
+(loaded on the first such text), and the ``ParseError`` names the first
+piece that does not fit and where it was looked for.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import List, Tuple
+from functools import cache
 
 from .rationals import INF, fmt_record
 from .subgroups import (
@@ -44,149 +56,124 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# The value pieces; every other piece is a token.  Each value's pattern
+# takes its leading whitespace and captures its strings.
+_INT, _Q, _QINF, _GENS = "<int>", "<q>", "<q|inf>", "<gen>"
+_NAME_END = r"(?![^\W_])"  # no letter or digit (str.isalnum) follows
+_INT_RE = r"\s*([+-]?\d+)"
+_INF_RE = r"\s*(inf)" + _NAME_END
+_Q_RE = rf"{_INT_RE}(?:\s*/{_INT_RE})?"
+_POINT = ("(", _Q, ",", _INT, ")")
+_POINT_RE = rf"\s*\({_Q_RE}\s*,{_INT_RE}\s*\)"
+_SOURCES = {
+    _INT: _INT_RE,
+    _Q: _Q_RE,
+    _QINF: f"(?:{_INF_RE}|{_Q_RE})",
+    # the points, as group 1; each one followed by a comma and the next
+    # point, or by the "]"
+    _GENS: rf"((?:{_POINT_RE}(?=\s*[,\]])(?:\s*,(?=\s*\())?)*)\s*\]",
+}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+#: Each form by its name: its pieces after the name.  ``parse_subgroup``
+#: tries the names in this order; "" is the bare rational.
+_FORMS = {
+    "gen": ("[", _GENS),
+    "III": ("(", "alpha", "=", _Q, ",", "beta", "=", _Q, ",", "n", "=", _INT, ")"),
+    "IV": ("(", "n", "=", _INT, ")"),
+    "II": ("(", "gamma", "=", _Q, ",", "n", "=", _INT, ")"),
+    "I": ("(", "alpha", "=", _QINF, ")"),
+    "": (_Q,),
+}
+_FAMILIES = {TypeIII: "III", TypeIV: "IV", TypeII: "II", TypeI: "I"}
+_SLOTS = {name: cls.__slots__ for cls, name in _FAMILIES.items()}
+_NAMES = ("gen", *_FAMILIES.values())
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise ParseError(f"expected {token!r}", self.pos)
-        self.pos += len(token)
+def _rational(num: str, den) -> Fraction:
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
-    def try_word(self, word: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text.startswith(word, self.pos) and not (
-            end < len(self.text) and self.text[end].isalnum()
-        ):
-            self.pos = end
-            return True
-        return False
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError as exc:  # beyond the interpreter's int-digit limit
-            raise ParseError(f"integer of {self.pos - digits} digits is too long", start) from exc
+def _points(span: str, *_):
+    """The points of ``gen[...]`` from the span of its list, group 1 of
+    the form's match; the other groups hold only the last point."""
+    points = _compile("point")[0].findall(span)
+    return [(_rational(num, den), int(m)) for num, den, m in points]
 
-    def rational(self) -> Fraction:
-        start = self.pos
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.integer()
-            if den == 0:
-                raise ParseError("zero denominator", start)
-            return Fraction(num, den)
-        return Fraction(num)
 
-    def extended_rational(self):
-        if self.try_word("inf"):
-            return INF
-        return self.rational()
+#: Each value piece: its reader and the number of groups it captures.
+_READERS = {
+    _INT: (int, 1),
+    _Q: (_rational, 2),
+    _QINF: (lambda inf, num, den: INF if inf else _rational(num, den), 3),
+    _GENS: (_points, 4),
+}
 
-    def keyword(self, name: str):
-        self.expect(name)
-        self.expect("=")
 
-    def done(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("trailing input", self.pos)
+@cache
+def _compile(name: str):
+    """Form ``name``'s pattern and, for each of its value pieces, the
+    reader and the slice of groups it reads; built on first use.  The
+    name "point" gives the pattern of one point of ``gen[...]``."""
+    if name == "point":
+        return re.compile(_POINT_RE), []
+    pieces, spans, i = _FORMS[name], [], 0
+    for piece in pieces:
+        if piece in _READERS:
+            read, n = _READERS[piece]
+            spans.append((read, i, i + n))
+            i += n
+    source = "".join(_SOURCES.get(p) or r"\s*" + re.escape(p) for p in pieces)
+    return re.compile((name and name + _NAME_END) + source + r"\s*"), spans
+
+
+def _read(name: str, body: str):
+    """The values of form ``name`` in ``body`` (no leading whitespace)
+    by one ``fullmatch``, or None if it does not match or a value cannot
+    be read: past ``int()``'s digit limit, or a zero denominator."""
+    pattern, spans = _compile(name)
+    m = pattern.fullmatch(body)
+    if m is None:
+        return None
+    groups = m.groups()
+    try:
+        return [read(*groups[i:j]) for read, i, j in spans]
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _subgroup(name: str, values) -> ClosedSubgroup:
+    if name == "gen":
+        return classify_from_generators(values[0])
+    return canonicalize_params(name, **dict(zip(_SLOTS[name], values)))
 
 
 def parse_subgroup(text: str) -> ClosedSubgroup:
     """Parse a subgroup literal into its canonical value."""
-    c = _Cursor(text)
-    if c.try_word("gen"):
-        gens = _generator_list(c)
-        c.done()
-        return classify_from_generators(gens)
-    for family, fields in _FAMILIES.values():
-        if c.try_word(family):
-            H = _family_body(c, family, fields)
-            c.done()
-            return H
-    raise ParseError("expected a family name or 'gen'", c.pos)
+    body = text.lstrip()
+    for name in _NAMES:
+        if body.startswith(name):
+            values = _read(name, body)
+            if values is not None:
+                return _subgroup(name, values)
+            break
+    from ._literal_walk import walk_subgroup
+
+    return walk_subgroup(text, _subgroup)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational ``<q>``: an integer or numerator/denominator."""
-    c = _Cursor(text)
-    q = c.rational()
-    c.done()
-    return q
+    values = _read("", text.lstrip())
+    if values is None:
+        from ._literal_walk import walk
 
-
-# Each family's literal: its name, and its fields in ``__slots__`` order,
-# each with the reader of its value.  ``parse_subgroup`` tries the names in
-# this order; ``try_word`` needs a word boundary, so "I" never matches
-# inside "III".
-_FAMILIES = {
-    cls: (family, tuple(zip(cls.__slots__, readers)))
-    for cls, family, readers in (
-        (TypeIII, "III", (_Cursor.rational, _Cursor.rational, _Cursor.integer)),
-        (TypeIV, "IV", (_Cursor.integer,)),
-        (TypeII, "II", (_Cursor.rational, _Cursor.integer)),
-        (TypeI, "I", (_Cursor.extended_rational,)),
-    )
-}
-
-
-def _family_body(c: _Cursor, family: str, fields) -> ClosedSubgroup:
-    c.expect("(")
-    params = {}
-    for name, read in fields:
-        if params:
-            c.expect(",")
-        c.keyword(name)
-        params[name] = read(c)
-    c.expect(")")
-    return canonicalize_params(family, **params)
-
-
-def _generator_list(c: _Cursor) -> List[Tuple[Fraction, int]]:
-    c.expect("[")
-    gens: List[Tuple[Fraction, int]] = []
-    if c.peek() == "]":
-        c.pos += 1
-        return gens
-    while True:
-        c.expect("(")
-        x = c.rational()
-        c.expect(",")
-        m = c.integer()
-        c.expect(")")
-        gens.append((x, m))
-        if c.peek() == ",":
-            c.pos += 1
-            continue
-        c.expect("]")
-        return gens
+        return walk("", text, 0, lambda values: values[0])
+    return values[0]
 
 
 def format_subgroup(H: ClosedSubgroup) -> str:
     """Canonical literal; parse_subgroup(format_subgroup(H)) == H."""
-    entry = _FAMILIES.get(type(H))
-    if entry is None:
+    name = _FAMILIES.get(type(H))
+    if name is None:
         raise TypeError(f"not a subgroup value: {H!r}")
-    return fmt_record(entry[0], H)
+    return fmt_record(name, H)

@@ -423,14 +423,15 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
     d = max(S(H, H2), S(H2, H)), S as in ``side_sup``; it is always
     rational (see ``_strip_sup`` for the strips), so lo == hi.  ``tol``
     bounds the bracket width, which is 0; it must still be > 0.  Equal
-    subgroups give [0, 0].
+    subgroups give [0, 0]: their levels at the common scale are equal,
+    since ``from_levels`` reads the one canonical group back at any scale.
     """
-    tol = as_fraction(tol)
-    if tol <= 0:
+    if as_fraction(tol).numerator <= 0:
         raise ToleranceInvalid("tol must be > 0")
-    if H == H2:
+    levels = _common_levels(H, H2)
+    if levels[0] == levels[1]:
         return DistanceBracket(Fraction(0), Fraction(0))
-    side, _ = _larger_side(*_common_levels(H, H2))
+    side, _ = _larger_side(*levels)
     d = Fraction(side[0], side[1])
     return DistanceBracket(d, d)
 

@@ -107,7 +107,12 @@ def oracle_closure_ball(gens: Sequence[Tuple], r) -> BallElements:
             else:
                 yield j * n, range(x0 - (R + x0) // horiz * horiz, R + 1, horiz)
 
-    check_ball_size(sum(len(xs) for _, xs in columns()), "points", r)
+    def count(x0):
+        """Points of x0 + horiz*Z in [-R, R], by arithmetic: ``len`` of a
+        range past 2^63 overflows."""
+        return (R - x0) // horiz + (R + x0) // horiz + 1 if horiz else 1
+
+    check_ball_size(sum(count(j * q) for j in range(-jmax, jmax + 1)), "points", r)
     points = frozenset(chain.from_iterable(zip(xs, repeat(m)) for m, xs in columns()))
     return BallElements(d, points, frozenset())
 

@@ -44,9 +44,9 @@ class TypeI(Record):
     __slots__ = ("alpha",)  # in [0, INF]
 
     def __init__(self, alpha: ExtQ):
-        if not is_inf(alpha):
+        if alpha is not INF:
             alpha = as_fraction(alpha)
-            if alpha < 0:
+            if alpha.numerator < 0:
                 raise InvalidParameter("TypeI alpha must be >= 0")
         object.__setattr__(self, "alpha", alpha)
 
@@ -67,11 +67,11 @@ class TypeIII(Record):
     __slots__ = ("alpha", "beta", "n")
 
     def __init__(self, alpha: Fraction, beta: Fraction, n: int):
-        if is_inf(alpha) or as_fraction(alpha) <= 0:
+        if alpha is INF or as_fraction(alpha).numerator <= 0:
             raise InvalidParameter("TypeIII alpha must be in (0, INF)")
         alpha = as_fraction(alpha)
         beta = as_fraction(beta)
-        if not (0 <= beta < 1):
+        if not (0 <= beta.numerator < beta.denominator):
             raise InvalidParameter("TypeIII beta must lie in [0, 1)")
         if n <= 0:
             raise InvalidParameter("TypeIII n must be >= 1")
@@ -150,10 +150,11 @@ def canonicalize_params(family: str, **params) -> ClosedSubgroup:
         return TypeII(gamma, n)
     if family == "III":
         beta, n = as_fraction(params["beta"]), params["n"]
+        num = beta.numerator
         if n < 0:
             # Z(1/a,0) + Z(b/a, n) = Z(1/a,0) + Z(-b/a, -n)
-            beta, n = -beta, -n
-        return TypeIII(params["alpha"], beta % 1, n)
+            num, n = -num, -n
+        return TypeIII(params["alpha"], Fraction(num % beta.denominator, beta.denominator), n)
     if family == "IV":
         return TypeIV(params["n"])
     raise InvalidParameter(f"unknown family {family!r}")
@@ -328,7 +329,7 @@ def from_levels(L: IntLevels) -> ClosedSubgroup:
         return TypeI(Fraction(L.scale, L.g) if L.g else Fraction(0))
     if not L.g:
         return TypeII(Fraction(L.q, L.scale), L.n)
-    return TypeIII(Fraction(L.scale, L.g), Fraction(L.q, L.g) % 1, L.n)
+    return TypeIII(Fraction(L.scale, L.g), Fraction(L.q % L.g, L.g), L.n)
 
 
 def membership(H: ClosedSubgroup, p: Tuple) -> bool:
@@ -369,15 +370,18 @@ def elements_in_ball(H: ClosedSubgroup, r) -> BallElements:
         return BallElements(D, frozenset(), frozenset(Strip(m, r) for m in levels))
 
     def rows():
+        """Each level's points as (m, range, count); the count is kept
+        apart because ``len`` of a range past 2^63 overflows."""
         for m in levels:
             offset, g = L.at(m)
             if g:
-                yield m, range(offset - (R + offset) // g * g, R + 1, g)
+                start = offset - (R + offset) // g * g  # least X >= -R in the class
+                yield m, range(start, R + 1, g), (R - start) // g + 1
             else:
-                yield m, range(offset, offset + 1)
+                yield m, range(offset, offset + 1), 1
 
-    check_ball_size(sum(len(xs) for _, xs in rows()), "points", r)
-    points = frozenset(chain.from_iterable(zip(xs, repeat(m)) for m, xs in rows()))
+    check_ball_size(sum(count for _, _, count in rows()), "points", r)
+    points = frozenset(chain.from_iterable(zip(xs, repeat(m)) for m, xs, _ in rows()))
     return BallElements(D, points, frozenset())
 
 

@@ -49,3 +49,46 @@ def generator_lists_st(draw):
         (draw(fractions_st()), draw(st.integers(min_value=-3, max_value=3)))
         for _ in range(n)
     ]
+
+
+# -- literal texts, valid and mutated ------------------------------------------
+
+integers = st.integers()
+int_text = integers.map(str)
+rational_text = st.one_of(
+    int_text, st.builds("{}/{}".format, integers, integers)
+)
+
+
+@st.composite
+def literals(draw):
+    family = draw(st.sampled_from(["I", "II", "III", "IV", "gen"]))
+    if family == "I":
+        alpha = draw(st.one_of(st.just("inf"), rational_text))
+        return f"I(alpha={alpha})"
+    if family == "II":
+        return f"II(gamma={draw(rational_text)},n={draw(int_text)})"
+    if family == "III":
+        return (f"III(alpha={draw(rational_text)},beta={draw(rational_text)},"
+                f"n={draw(int_text)})")
+    if family == "IV":
+        return f"IV(n={draw(int_text)})"
+    gens = draw(st.lists(st.tuples(rational_text, int_text), max_size=3))
+    return "gen[" + ",".join(f"({x},{m})" for x, m in gens) + "]"
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with a few characters deleted, replaced or inserted."""
+    text = list(draw(base))
+    alphabet = st.sampled_from(list("()[],=/-+ 0123456789IVgenalphbtinf") + ["\x00", "é"])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if op == "insert" or i == len(text):
+            text.insert(i, draw(alphabet))
+        elif op == "delete":
+            del text[i]
+        else:
+            text[i] = draw(alphabet)
+    return "".join(text)

@@ -38,6 +38,15 @@ class TestClassify:
         code, _ = run(["classify", "I(alpha=-2)"])
         assert code == 1
 
+    def test_digit_int_does_not_read_is_not_an_integer(self, capsys):
+        code, _ = run(["classify", "I(alpha=\u00b2)"])
+        assert code == 2
+        assert capsys.readouterr().err == "parse error: at position 8: expected an integer\n"
+
+    def test_whitespace_around_every_token(self):
+        code, out = run(["classify", " gen[ (1/2 , 0) , (1/3,0) ] "])
+        assert (code, out) == (0, "I(alpha=6)\n")
+
     @pytest.mark.parametrize("argv", [
         ["classify", "I(alpha=" + "9" * 5000 + ")"],
         ["dist", "I(alpha=1)", "I(alpha=2)", "--tol", "1/" + "9" * 5000],

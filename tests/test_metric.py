@@ -30,12 +30,21 @@ from chabauty_rz import (
     verify_limit,
 )
 
-from chabauty_rz.subgroups import LINE
+from chabauty_rz.metric import _common_levels
+from chabauty_rz.subgroups import LINE, from_levels, int_levels
 from chabauty_rz.suites import run_suite
 
 from strategies import generator_lists_st, subgroups_st
 
 TOL = F(1, 1000)
+
+
+@st.composite
+def same_group_rescaled(draw):
+    """A group and itself, read back from its levels at a larger scale."""
+    H = draw(subgroups_st())
+    L = int_levels(H)
+    return H, from_levels(L.over(draw(st.integers(2, 6)) * L.scale))
 
 
 class TestHandDistances:
@@ -181,6 +190,11 @@ class TestPredicate:
             hausdorff_inclusion_ok(TypeI(F(1000)), TypeI(F(1001)), F(1, 10**6))
         assert time.perf_counter() - start < 0.5
 
+    def test_ball_past_two_to_the_63_is_refused(self):
+        # a row of the ball at radius (2^64 + 1)/7 is too long for len()
+        with pytest.raises(InvalidParameter, match="MAX_BALL_POINTS"):
+            hausdorff_inclusion_ok(TypeI(2), TypeI(1), F(7, 2**64 + 1))
+
     @settings(max_examples=80, deadline=None)
     @given(subgroups_st(), subgroups_st(), st.integers(1, 6))
     def test_monotone_in_eps(self, H, K, d):
@@ -239,6 +253,14 @@ class TestSubsetFastPath:
         assert not subgroup_subset(TypeIV(2), TypeIV(4))
         assert subgroup_subset(TypeI(INF), TypeIV(3))
         assert not subgroup_subset(TypeIV(3), TypeI(INF))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(subgroups_st(), subgroups_st()), same_group_rescaled()))
+    def test_equal_levels_at_the_common_scale_are_equal_groups(self, pair):
+        H, K = pair
+        A, B = _common_levels(H, K)
+        assert (A == B) == (H == K)
+        assert (chabauty_distance(H, K, TOL).hi == 0) == (H == K)
 
     @settings(max_examples=80, deadline=None)
     @given(subgroups_st(), subgroups_st())

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction as F
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from chabauty_rz import (
     oracle_closure_ball,
     totient,
 )
+from chabauty_rz import oracle
 from chabauty_rz.oracle import lattice_basis
 from chabauty_rz.subgroups import int_levels
 
@@ -91,6 +93,21 @@ class TestLatticeOracle:
         with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
             oracle_closure_ball([(F(1, 1000), 0)], 10**6)
         assert time.perf_counter() - start < 0.5
+
+    def test_rows_past_two_to_the_63_are_counted_not_measured(self):
+        # len() of a range this long raises OverflowError
+        with pytest.raises(InvalidParameter, match=f"{2 * 10**19 + 1} points.*MAX_BALL_POINTS"):
+            oracle_closure_ball([(F(1, 10**19), 0)], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists_st(), st.integers(1, 5))
+    def test_checked_count_is_the_number_of_points(self, gens, r):
+        counts = []
+        with mock.patch.object(oracle, "check_ball_size",
+                               lambda count, what, r: counts.append((what, count))):
+            ball = oracle_closure_ball(gens, r)
+        if counts:
+            assert counts[-1] == ("points", len(ball.points))
 
 
 @pytest.fixture(scope="module")

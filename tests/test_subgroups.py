@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction as F
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from chabauty_rz import (
     membership,
     oracle_closure_ball,
 )
+from chabauty_rz import subgroups
 from chabauty_rz.subgroups import LINE, from_levels, int_levels
 
 from balls import fraction_points
@@ -207,6 +209,21 @@ class TestBallsAndDistances:
         with pytest.raises(InvalidParameter, match=f"{MAX_BALL_POINTS + 1} points"):
             elements_in_ball(TypeI(F(1)), MAX_BALL_POINTS // 2)
         assert time.perf_counter() - start < 0.5
+
+    def test_rows_past_two_to_the_63_are_counted_not_measured(self):
+        # len() of a range this long raises OverflowError
+        with pytest.raises(InvalidParameter, match=f"{2 * 10**19 + 1} points.*MAX_BALL_POINTS"):
+            elements_in_ball(TypeI(10**19), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgroups_st(), st.integers(1, 5))
+    def test_checked_count_is_the_number_of_points(self, H, r):
+        counts = []
+        with mock.patch.object(subgroups, "check_ball_size",
+                               lambda count, what, r: counts.append((what, count))):
+            ball = elements_in_ball(H, r)
+        if not ball.strips:
+            assert counts[-1] == ("points", len(ball.points))
 
     def test_single_point_levels_do_not_count_against_the_cap(self):
         # two million levels in reach, but only the origin lies in the ball
