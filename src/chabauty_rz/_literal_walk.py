@@ -86,14 +86,14 @@ def _steps(pieces, text: str, pos: int):
 
 def walk(name: str, text: str, pos: int, make):
     """Form ``name`` stepped from ``pos``, after its name, to the end of
-    ``text``: ``make`` of its values.  ``make`` runs before the check for
-    trailing input, so a family's parameters are checked first."""
+    ``text``: ``make`` of its values.  ``make`` runs after the check for
+    trailing input, so a text that is not a literal is a parse error even
+    when its parameters are out of range."""
     values, pos = _steps(_FORMS[name], text, pos)
-    value = make(values)
     pos = _skip_space(text, pos)
     if pos != len(text):
         raise ParseError("trailing input", pos)
-    return value
+    return make(values)
 
 
 def walk_subgroup(text: str, make):

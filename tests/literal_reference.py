@@ -104,9 +104,9 @@ def parse_subgroup(text: str) -> ClosedSubgroup:
         return classify_from_generators(gens)
     for family, fields in _FAMILIES.values():
         if c.try_word(family):
-            H = _family_body(c, family, fields)
+            params = _family_body(c, fields)
             c.done()
-            return H
+            return canonicalize_params(family, **params)
     raise ParseError("expected a family name or 'gen'", c.pos)
 
 
@@ -133,7 +133,7 @@ _FAMILIES = {
 }
 
 
-def _family_body(c: _Cursor, family: str, fields) -> ClosedSubgroup:
+def _family_body(c: _Cursor, fields) -> dict:
     c.expect("(")
     params = {}
     for name, read in fields:
@@ -142,7 +142,7 @@ def _family_body(c: _Cursor, family: str, fields) -> ClosedSubgroup:
         c.keyword(name)
         params[name] = read(c)
     c.expect(")")
-    return canonicalize_params(family, **params)
+    return params
 
 
 def _generator_list(c: _Cursor) -> List[Tuple[Fraction, int]]:

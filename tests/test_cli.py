@@ -38,6 +38,13 @@ class TestClassify:
         code, _ = run(["classify", "I(alpha=-2)"])
         assert code == 1
 
+    def test_text_that_is_not_a_literal_exits_2(self, capsys):
+        # out-of-range parameters do not matter when the text is not a literal
+        for text, pos in [("IV(n=0)(", 7), ("I(alpha=-1)x", 11), ("IV(n=1)(", 7)]:
+            code, _ = run(["classify", text])
+            assert code == 2
+            assert capsys.readouterr().err == f"parse error: at position {pos}: trailing input\n"
+
     def test_digit_int_does_not_read_is_not_an_integer(self, capsys):
         code, _ = run(["classify", "I(alpha=\u00b2)"])
         assert code == 2

@@ -28,14 +28,17 @@ from chabauty_rz import (
     winding_count_sampled,
 )
 from chabauty_rz.denjoy import (
+    _LAYOUTS,
     MAX_GRID,
+    MAX_HELD_LABELS,
     MAX_PRECISION,
     _first_unresolved,
     _inside,
     _label_index,
     _layout,
     _locate,
-    _progress,
+    _turns,
+    _winding,
 )
 
 
@@ -104,6 +107,19 @@ def ref_farey_layout(B):
     return nums, dens, starts, scale + acc, scale, widths
 
 
+def full_layout(B):
+    """The half layout expanded to every label by the reflection: the
+    mirror of I_{a/b}, 0 < a/b < 1/2, is I_{(b-a)/b} at fold - S - w_b."""
+    lay = _layout(B)
+    nums, dens, starts = list(lay.nums), list(lay.dens), list(lay.starts)
+    for i in range(len(lay.nums) - 2, 0, -1):  # every label in (0, 1/2), decreasing
+        b = lay.dens[i]
+        nums.append(b - lay.nums[i])
+        dens.append(b)
+        starts.append(lay.fold - lay.starts[i] - lay.widths[b])
+    return nums, dens, starts, lay.total, lay.scale, lay.widths
+
+
 def ref_first_unresolved(grid, B):
     """Stage one sample by sample: `_locate` at every grid point."""
     for j in range(grid):
@@ -113,13 +129,14 @@ def ref_first_unresolved(grid, B):
 
 
 def ref_progress(b, grid, B):
-    """Stage two as a dict of angles by sample and a sorted walk of steps."""
-    lay = _layout(B)
-    total, w = lay.total, lay.widths[b] * grid
+    """Stage two as a dict of angles by sample and a sorted walk of steps,
+    summed in floats."""
+    _, dens, starts, total, _, widths = full_layout(B)
+    w = widths[b] * grid
     angles = {}
-    for a in range(b):
-        if gcd(a, b) == 1:
-            s = lay.starts[_label_index(lay, a, b)] * grid
+    for den, start in zip(dens, starts):
+        if den == b:
+            s = start * grid
             for j in range(s // total + 1, (s + w - 1) // total + 1):
                 off = j * total - s
                 angles[j] = 2 * atan((2 * off - w) * w / (off * (w - off)))
@@ -138,13 +155,13 @@ def gap_band(grid, B, j):
     """Where an unresolved sample j/grid lies in its gap: 'left' is the band
     past the end of the interval before it, 'right' the band before the
     next start.  Also whether j is the gap's first sample."""
-    lay = _layout(B)
-    pos = j * lay.total
-    i = bisect_right(lay.starts, pos // grid) - 1
-    w = lay.widths[lay.dens[i]] * grid
-    end = lay.starts[i] * grid + w
+    _, dens, starts, total, _, widths = full_layout(B)
+    pos = j * total
+    i = bisect_right(starts, pos // grid) - 1
+    w = widths[dens[i]] * grid
+    end = starts[i] * grid + w
     side = "left" if (pos - end) * B * B < w else "right"
-    return side, j == end // lay.total + 1
+    return side, j == end // total + 1
 
 
 def outcome(fn, *args):
@@ -191,6 +208,23 @@ class TestAgainstReference:
         for v in edge_points(B, i):
             assert denjoy_xi(v, B) == ref_xi(v, B)
 
+    @pytest.mark.parametrize("B", [2, 3, 5, 8, 13])
+    def test_reflected_positions_and_the_wrap(self, B):
+        # every band edge of every gap past the middle of I_{1/2}, where the
+        # position is answered at its mirror, and the wrap gap before L_B
+        labels, widths, starts, total = ref_layout(B)
+        fold = 1 + total
+        guard = widths[-1] / B ** 2
+        wrap = [total - guard, total - guard / 2, total - guard / 10 ** 6]
+        points = [pos / total for pos in wrap]
+        for i in range(len(labels)):
+            points += [u for u in edge_points(B, i) if 2 * u * total > fold]
+        assert len(points) > 4 * (len(labels) // 2)
+        for u in points:
+            assert denjoy_xi(u, B) == ref_xi(u, B)
+        # the mirror of the wrap has no band before L_B: irrational there
+        assert denjoy_xi(points[1], B) is IRRATIONAL
+
     # at B = 1 and 2 every grid from 8 to 200 has an unresolved sample, so
     # those draws compare the UnresolvedSample message; B = 8 resolves some
     @settings(max_examples=150, deadline=None)
@@ -206,20 +240,47 @@ class TestLayoutShape:
     def test_labels_and_starts(self, B):
         lay = _layout(B)
         labels = list(zip(lay.nums, lay.dens))
-        # 0/1, then phi(b) lowest-terms labels a/b in (0, 1) for each b >= 2
+        # 0/1, then the lowest-terms labels a/b in (0, 1/2] for each b >= 2
         assert len(labels) == 1 + sum(
-            sum(gcd(a, b) == 1 for a in range(1, b)) for b in range(2, B + 1))
+            sum(gcd(a, b) == 1 for a in range(1, b // 2 + 1)) for b in range(2, B + 1))
         assert labels[0] == (0, 1)
-        assert all(0 <= a < b <= B and gcd(a, b) == 1 for a, b in labels)
+        assert all(0 <= 2 * a <= b <= B and gcd(a, b) == 1 for a, b in labels)
         assert all(a * d < c * b for (a, b), (c, d) in zip(labels, labels[1:]))
         assert all(s < t for s, t in zip(lay.starts, lay.starts[1:]))
-        assert lay.starts[-1] + lay.widths[lay.dens[-1]] < lay.total
+        assert lay.fold == lay.scale + lay.total
+        if B == 1:
+            assert lay.mid == lay.total  # past every position: nothing reflects
+        else:
+            # the middle of I_{1/2} is fold/2, and mid = fold // 2 lies in it
+            assert labels[-1] == (1, 2)
+            assert 2 * lay.starts[-1] + lay.widths[2] == lay.fold
+            assert lay.starts[-1] <= lay.mid <= lay.starts[-1] + lay.widths[2]
+        _, dens, starts, total, _, widths = full_layout(B)
+        assert starts[-1] + widths[dens[-1]] < total
 
     @pytest.mark.parametrize("B", [1, 2, 7, 40])
     def test_label_index(self, B):
         lay = _layout(B)
         for i, (a, b) in enumerate(zip(lay.nums, lay.dens)):
             assert _label_index(lay, a, b) == i
+
+
+class TestLayoutCache:
+    """Layouts are kept by their labels, not by their number."""
+
+    def test_held_labels_stay_under_the_cap(self):
+        _LAYOUTS.clear()
+        for B in (64, 128, 256, 511, 512):
+            lay = _layout(B)
+            assert sum(len(kept.starts) for kept in _LAYOUTS.values()) <= MAX_HELD_LABELS
+            assert _layout(B) is lay  # a second query does not rebuild
+        assert list(_LAYOUTS) == [512]
+
+    def test_the_bench_precisions_are_all_kept(self):
+        _LAYOUTS.clear()
+        layouts = [_layout(B) for B in (64, 128, 256)]
+        assert _layout(64) is layouts[0]
+        assert list(_LAYOUTS) == [128, 256, 64]  # least recently used first
 
 
 class TestWorkBounds:
@@ -405,19 +466,28 @@ _draw = random.Random(16)
 DRAWN_KEYS = [(_draw.randint(8, 6000), _draw.randint(12, 120)) for _ in range(6)]
 
 
+#: Keys whose least unresolved sample lies past the middle of I_{1/2}, in
+#: the half of the walk that runs over the mirrors.
+MIRRORED_KEYS = {(4096, 62): 3039, (4096, 113): 3023, (4096, 156): 3479}
+
+
 class TestKernelAgainstLoops:
-    """The blow-up kernel, which works by runs of samples and mirrors half
-    the layout, against the plain loops it replaced."""
+    """The blow-up kernel, which works by runs of samples over half the
+    layout, against the plain loops it replaced."""
 
     @pytest.mark.parametrize("B", list(range(1, 65)) + [128, 255, 256, 512])
     def test_mirrored_layout(self, B):
-        assert tuple(_layout(B)) == ref_farey_layout(B)
+        assert full_layout(B) == ref_farey_layout(B)
 
     def test_stage_one(self):
         rng = random.Random(15)
         drawn = {(rng.randint(8, 6000), rng.randint(1, 120)) for _ in range(1550)}
-        keys = BENCH_KEYS + sorted(drawn, key=lambda key: key[1])  # each layout once
+        keys = BENCH_KEYS + list(MIRRORED_KEYS) + sorted(drawn, key=lambda key: key[1])
         assert len(keys) >= 1500
+        for (grid, B), j in MIRRORED_KEYS.items():
+            lay = _layout(B)
+            assert 2 * j * lay.total > lay.fold * grid  # past the middle
+            assert _first_unresolved.__wrapped__(grid, B) == j
         bands = Counter()
         for grid, B in keys:
             j = _first_unresolved.__wrapped__(grid, B)  # not the cached answer
@@ -433,7 +503,70 @@ class TestKernelAgainstLoops:
     def test_stage_two(self, grid, B):
         bs = {m // k for k in range(1, 7) for m in range(1, 13) if m % k == 0}
         for b in sorted(b for b in bs if b <= B):
-            assert _progress(b, grid, B) == ref_progress(b, grid, B)
+            assert _winding(b, grid, B) == round(ref_progress(b, grid, B) / (2 * pi))
+
+    def test_coarse_grids(self):
+        # steps longer than pi are common on coarse grids, so many counts
+        # differ from totient(b), the limit of fine grids
+        rng = random.Random(19)
+        differ = 0
+        for _ in range(150):
+            grid, B = rng.randint(8, 300), rng.randint(1, 60)
+            for b in rng.sample(range(1, B + 1), min(B, 4)):
+                got = _winding(b, grid, B)
+                assert got == round(ref_progress(b, grid, B) / (2 * pi)), (grid, B, b)
+                differ += got != sum(gcd(a, b) == 1 for a in range(b))
+        assert differ > 200
+
+
+class TestTurns:
+    """One witness on integers for each sign rule of the exact count, with
+    intervals of width 10: slope t < 0 below offset 5, t > 0 above it.
+    The basepoint is offset w, where t = +oo and the angle is pi."""
+
+    def test_entering_a_run(self):
+        assert _turns(10, 4, 10) == 1
+        assert _turns(10, 5, 10) == 1  # t = 0: a step of exactly -pi counts
+        assert _turns(10, 6, 10) == 0
+
+    def test_leaving_a_run(self):
+        assert _turns(4, 10, 10) == -1
+        assert _turns(5, 10, 10) == 0  # t = 0: a step of exactly pi does not
+        assert _turns(6, 10, 10) == 0
+        assert _turns(10, 10, 10) == 0  # basepoint to basepoint
+
+    def test_step_up_across_t_zero(self):
+        assert _turns(2, 8, 10) == -1  # t1 t2 = -(8/3)^2 < -1
+        assert _turns(4, 6, 10) == 0  # t1 t2 = -(5/6)^2 > -1
+        assert _turns(5, 8, 10) == 0
+
+    def test_step_down_across_t_zero(self):
+        assert _turns(8, 2, 10) == 1
+        assert _turns(6, 4, 10) == 0
+        assert _turns(8, 5, 10) == 0
+        assert _turns(1, 3, 10) == 0  # both slopes negative
+        # 1 + t1 t2 = 0 needs t^2 + 4 and 4 t^2 + 1 both rational squares,
+        # with t = p/q: no sample reaches that tie for p, q below 3000
+
+    def test_straight_step_between_runs(self):
+        # at grid 38, precision 79, samples 33 and 34 lie in I_{17/23} and
+        # I_{18/23}, with t1 > 0 > t2, and that step counts +1
+        grid, B, b = 38, 79, 23
+        nums, dens, starts, total, _, widths = full_layout(B)
+        w = widths[b] * grid
+        start = {num: s * grid for num, den, s in zip(nums, dens, starts) if den == b}
+        assert list(_inside(start[17], w, total)) == [33]
+        assert list(_inside(start[18], w, total)) == [34]
+        o1, o2 = 33 * total - start[17], 34 * total - start[18]
+        assert 2 * o1 > w > 2 * o2 and _turns(o1, o2, w) == 1
+        assert _first_unresolved(grid, B) is None
+        assert winding_count_sampled(1, b, grid, B) == ref_wind(1, b, grid, B) == 0
+
+    def test_step_across_t_zero_inside_a_run(self):
+        # I_{0/1} holds samples 1, 2, 3 at lambda 1927/6912, 1927/3456 and
+        # 1927/2304; the step from 1 to 2 turns -1, so the count is 0
+        assert list(_inside(0, _layout(4).widths[1] * 8, _layout(4).total)) == [1, 2, 3]
+        assert winding_count_sampled(1, 1, 8, 4) == ref_wind(1, 1, 8, 4) == 0
 
 
 class TestInside:

@@ -59,6 +59,8 @@ class TestParsing:
             ("I(alpha=)", 8, "expected an integer"),
             ("II(gamma=1,n=2", 14, "expected ')'"),
             ("I(alpha=1)x", 10, "trailing input"),
+            ("IV(n=0)(", 7, "trailing input"),  # n out of range, but not a literal
+            ("I(alpha=-1)x", 11, "trailing input"),
             ("gen[(1/0,0)]", 5, "zero denominator"),
             # "\u00b2" is a digit to str.isdigit, but int() does not read it
             ("I(alpha=\u00b2)", 8, "expected an integer"),
@@ -220,7 +222,7 @@ class TestAgainstReference:
     @example("gen[ (1/2,0) (1/3,0) ]")
     @example("I(alpha= 1/0)")
     @example("II(gamma= 1/0,n=1)")
-    @example("IV(n=0)(")  # the parameters are checked before trailing input
+    @example("IV(n=0)(")  # trailing input is found before the parameters are checked
     def test_same_value_or_same_error(self, text):
         assume(not isdigit_only(text))
         assert outcome(parse_subgroup, text) == outcome(reference.parse_subgroup, text)
