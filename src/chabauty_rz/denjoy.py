@@ -67,7 +67,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .rationals import Record, as_fraction
+from .rationals import Record, as_fraction, as_int, at_least
 from .earring import BASEPOINT, EarringPoint, OnCircle
 from .subgroups import InvalidParameter
 
@@ -94,10 +94,6 @@ class Interval(Record):
     # coordinate in [0, 1] along it
     __slots__ = ("rational", "lam")
 
-    def __init__(self, rational: Fraction, lam: Fraction):
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "lam", lam)
-
 
 class IrrationalPoint(Record):
     """Outside every blow-up interval of denominator <= the query precision."""
@@ -108,20 +104,17 @@ class IrrationalPoint(Record):
 class Unresolved(Record):
     __slots__ = ("precision_used",)
 
-    def __init__(self, precision_used: int):
-        object.__setattr__(self, "precision_used", precision_used)
-
 
 DenjoyCoord = Union[Interval, IrrationalPoint, Unresolved]
 
 IRRATIONAL = IrrationalPoint()
 
 
-def _check_precision(max_denominator: int) -> None:
-    if max_denominator < 1:
-        raise InvalidParameter("max_denominator must be >= 1")
+def _check_precision(max_denominator: int) -> int:
+    max_denominator = at_least(max_denominator, "max_denominator", 1)
     if max_denominator > MAX_PRECISION:
         raise InvalidParameter(f"max_denominator must be <= {MAX_PRECISION}")
+    return max_denominator
 
 
 class _Layout(NamedTuple):
@@ -266,7 +259,13 @@ def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
     mirrored bands; the largest k hit names the least j.  There the band
     next to the following start is tested first, at the gap's last sample,
     since it holds the largest k of its gap if either band holds one.
+
+    At B = 1 there is no walk.  The only gap is (D, 2D), after I_{0/1},
+    and its band past the end of I_{0/1}, of width D / 1^2, covers all of
+    it.  So the least unresolved sample is the first past D: grid // 2 + 1.
     """
+    if max_denominator == 1:
+        return grid // 2 + 1
     lay = _layout(max_denominator)
     starts, dens, widths, total = lay.starts, lay.dens, lay.widths, lay.total
     sq = max_denominator * max_denominator
@@ -280,23 +279,18 @@ def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
         if pos <= end:
             j = end // total + 1
             pos = j * total
-        # j is the least sample past the end of I_i; the gap runs to nxt
-        if i < last:
-            nxt = starts[i + 1] * grid
-        elif max_denominator == 1:  # the gap after 0/1 wraps round to 0
-            nxt = total * grid
-        else:  # past I_{1/2}: the mirrored walk below
+        if i == last:  # past I_{1/2}: the mirrored walk below
             break
+        # j is the least sample past the end of I_i; the gap runs to nxt
+        nxt = starts[i + 1] * grid
         if pos >= nxt:
             continue
         if (pos - end) * sq < w:
             return j
         after = -(-nxt // total)  # the first sample at or past nxt
-        if i < last and (nxt - (after - 1) * total) * sq < w:
+        if (nxt - (after - 1) * total) * sq < w:
             return after - 1
         j = after
-    if max_denominator == 1:
-        return None
     base = lay.scale * grid  # the end of I_{0/1}
     hit = None
     i, k = 0, 1
@@ -401,15 +395,14 @@ def _winding(b: int, grid: int, max_denominator: int) -> int:
 
 def blowup_total_length(max_denominator: int) -> Fraction:
     """Truncated circle length L_B (exact rational)."""
-    _check_precision(max_denominator)
-    lay = _layout(max_denominator)
+    lay = _layout(_check_precision(max_denominator))
     return Fraction(lay.total, lay.scale)
 
 
 def blowup_interval_start(rational, max_denominator: int) -> Fraction:
     """Truncated arc position Psi_B of a blow-up interval's left endpoint."""
     f = as_fraction(rational)
-    _check_precision(max_denominator)
+    max_denominator = _check_precision(max_denominator)
     p, q = f.numerator, f.denominator
     if q > max_denominator or not 0 <= p < q:
         raise InvalidParameter("rational exceeds the precision's denominator bound")
@@ -422,7 +415,7 @@ def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
     num, den = as_fraction(u).as_integer_ratio()
     if not 0 <= num < den:  # the denominator is positive
         raise InvalidParameter("u must lie in [0, 1)")
-    _check_precision(max_denominator)
+    max_denominator = _check_precision(max_denominator)
     hit = _locate(num, den, max_denominator)
     if not isinstance(hit, tuple):
         return hit
@@ -444,8 +437,7 @@ def glue_boundary(k: int, coord: DenjoyCoord) -> EarringPoint:
     """
     if isinstance(coord, Unresolved):
         raise UnresolvedInput("escalate the blow-up precision before gluing")
-    if k < 0:
-        raise InvalidParameter("cone index must be >= 0")
+    k = at_least(k, "cone index", 0)
     if k == 0 or isinstance(coord, IrrationalPoint):
         return BASEPOINT
     if not (0 < coord.lam < 1):
@@ -465,13 +457,13 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     at the ends and the middle of each run strictly inside an I_{a/b} with
     k*b = m.
     """
-    if grid < 8:
-        raise InvalidParameter("grid must be >= 8")
+    grid = at_least(grid, "grid", 8)
     if grid > MAX_GRID:
         raise InvalidParameter(f"grid must be <= {MAX_GRID}")
+    k, m = as_int(k, "cone index"), as_int(m, "circle index")
     if k <= 0 or m <= 0:
         raise InvalidParameter("cone and circle indices must be >= 1")
-    _check_precision(max_denominator)
+    max_denominator = _check_precision(max_denominator)
     bad = _first_unresolved(grid, max_denominator)
     if bad is not None:
         raise UnresolvedSample(

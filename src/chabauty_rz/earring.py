@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple, Union
 
-from .rationals import INF, ExtQ, Record, as_fraction
+from .rationals import INF, ExtQ, Record, as_fraction, as_int, at_least
 from .subgroups import (
     ClosedSubgroup,
     InvalidParameter,
@@ -55,12 +55,13 @@ class AxisCoord(Record):
 
     __slots__ = ("alpha",)
 
-    def __init__(self, alpha: ExtQ):
+    @staticmethod
+    def _check(alpha):
         if alpha is not INF:
             alpha = as_fraction(alpha)
             if alpha.numerator < 0:
                 raise InvalidParameter("axis alpha must be >= 0")
-        object.__setattr__(self, "alpha", alpha)
+        return (alpha,)
 
 
 class Basepoint(Record):
@@ -73,11 +74,9 @@ class OnCircle(Record):
     # index n of the circle A_n, and the finite slope coordinate tan(theta)
     __slots__ = ("circle", "t")
 
-    def __init__(self, circle: int, t: Fraction):
-        if circle <= 0:
-            raise InvalidParameter("circle index must be >= 1")
-        object.__setattr__(self, "circle", circle)
-        object.__setattr__(self, "t", as_fraction(t))
+    @staticmethod
+    def _check(circle, t):
+        return at_least(circle, "circle index", 1), as_fraction(t)
 
 
 EarringPoint = Union[Basepoint, OnCircle]
@@ -98,9 +97,9 @@ class ConePoint(Record):
 
     __slots__ = ("k", "alpha", "beta")
 
-    def __init__(self, k: int, alpha: ExtQ, beta: Fraction):
-        if k <= 0:
-            raise InvalidParameter("cone index must be >= 1")
+    @staticmethod
+    def _check(k, alpha, beta):
+        k = at_least(k, "cone index", 1)
         if alpha is INF:
             beta = Fraction(0)  # apex: all beta identified
         else:
@@ -110,9 +109,7 @@ class ConePoint(Record):
                 raise InvalidParameter("cone alpha must be in [0, INF]")
             if not (0 <= beta.numerator < beta.denominator):
                 raise InvalidParameter("cone beta must lie in [0, 1)")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        return k, alpha, beta
 
 
 ModelPoint = Union[AxisCoord, ConePoint, Basepoint, OnCircle]
@@ -133,8 +130,7 @@ def chart_psi_I_inverse(H: ClosedSubgroup) -> ExtQ:
 
 def chart_psi_II_n(n: int, p: EarringPoint) -> ClosedSubgroup:
     """Earring point on circle b -> Z(b*t, b*n); basepoint -> {0}."""
-    if n <= 0:
-        raise InvalidParameter("n must be >= 1")
+    n = at_least(n, "n", 1)
     if isinstance(p, Basepoint):
         return TypeI(Fraction(0))
     return TypeII(Fraction(p.circle * p.t.numerator, p.t.denominator), p.circle * n)
@@ -142,6 +138,7 @@ def chart_psi_II_n(n: int, p: EarringPoint) -> ClosedSubgroup:
 
 def chart_psi_II_n_inverse(n: int, H: ClosedSubgroup) -> EarringPoint:
     """Inverse on the chart's image: requires n to divide the cyclic level."""
+    n = as_int(n, "n")
     if isinstance(H, TypeI) and not H.alpha:
         return BASEPOINT
     if not isinstance(H, TypeII) or H.n % n:
@@ -210,6 +207,7 @@ def winding_count(k: int, m: int) -> int:
     lowest-terms rationals a/b in [0, 1) with k*b = m.  m/k above
     ``MAX_WIND_RATIO`` raises ``InvalidParameter``.
     """
+    k, m = as_int(k, "cone index"), as_int(m, "circle index")
     if k <= 0 or m <= 0:
         raise InvalidParameter("cone and circle indices must be >= 1")
     if m > k * MAX_WIND_RATIO:

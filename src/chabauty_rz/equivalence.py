@@ -19,9 +19,9 @@ against canonical equality of the chart images.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
-from .rationals import Record, as_fraction
+from .rationals import Record, as_fraction, as_int, at_least
 from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
 
@@ -37,7 +37,8 @@ class BoundaryCoord(Record):
 
     __slots__ = ("rational", "t")
 
-    def __init__(self, rational: Optional[Fraction], t: Optional[Fraction]):
+    @staticmethod
+    def _check(rational, t):
         if rational is not None:
             rational = as_fraction(rational)
             if not (0 <= rational.numerator < rational.denominator):
@@ -46,8 +47,7 @@ class BoundaryCoord(Record):
             if rational is None:
                 raise InvalidParameter("a slope needs a rational interval label")
             t = as_fraction(t)
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "t", t)
+        return rational, t
 
 
 Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]
@@ -55,8 +55,7 @@ Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]
 
 def _classify(coord: Coordinate):
     k, c = coord
-    if k < 0:
-        raise InvalidParameter("level must be >= 0")
+    k = at_least(k, "level", 0)
     if isinstance(c, AxisCoord):
         if k != 0:
             raise InvalidParameter("axis coordinates live at level 0")
@@ -80,6 +79,7 @@ def check_equivalence(a: Coordinate, b: Coordinate) -> bool:
 def subgroup_image(coord: Coordinate) -> ClosedSubgroup:
     """Chart image of a coordinate, for cross-checking the relation."""
     k, c = coord
+    k = as_int(k, "level")
     if isinstance(c, AxisCoord):
         return TypeI(c.alpha)
     if c.rational is None or c.t is None or k == 0:

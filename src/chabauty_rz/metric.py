@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
-from .rationals import Record, as_fraction
+from .rationals import Record, as_fraction, as_int
 from .subgroups import (
     LINE,
     MAX_BALL_POINTS,
@@ -440,10 +440,6 @@ class LimitReport(Record):
     # distances: a DistanceBracket per sequence entry
     __slots__ = ("distances", "passed")
 
-    def __init__(self, distances: tuple, passed: bool):
-        object.__setattr__(self, "distances", distances)
-        object.__setattr__(self, "passed", passed)
-
 
 def verify_limit(
     seq: Sequence[ClosedSubgroup],
@@ -454,6 +450,7 @@ def verify_limit(
     """Check that the last ``tail`` members of ``seq`` are within tol of the limit."""
     if not seq:
         raise InvalidSequence("sequence must be nonempty")
+    tail = as_int(tail, "tail")
     if not (1 <= tail <= len(seq)):
         raise InvalidSequence("tail must satisfy 1 <= tail <= len(seq)")
     tol = as_fraction(tol)

@@ -18,13 +18,13 @@ from itertools import chain, repeat
 from math import floor, lcm
 from typing import Optional, Sequence, Tuple
 
-from .rationals import as_fraction
+from .rationals import as_fraction, as_int
 from .subgroups import BallElements, InvalidParameter, check_ball_size
 
 
 def _scaled_rows(gens: Sequence[Tuple]):
     """Nonzero generators as integer rows (x*d, level) plus the lcm d."""
-    pts = [(as_fraction(x), int(m)) for x, m in gens]
+    pts = [(as_fraction(x), as_int(m, "level")) for x, m in gens]
     pts = [(x, m) for x, m in pts if x != 0 or m != 0]
     if not pts:
         return [], 1
@@ -119,6 +119,7 @@ def oracle_closure_ball(gens: Sequence[Tuple], r) -> BallElements:
 
 def totient(b: int) -> int:
     """Euler's phi via the multiplicative product over prime factors."""
+    b = as_int(b, "b")
     if b <= 0:
         raise InvalidParameter("totient is defined for positive integers")
     result = b

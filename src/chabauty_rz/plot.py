@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .subgroups import InvalidParameter
+from .rationals import InvalidParameter, as_int
 
 _WIDTH = 880.0
 _HEIGHT = 420.0
@@ -23,6 +23,7 @@ MAX_CONES = 64
 
 
 def render_model_svg(circles: int = 6, cones: int = 4) -> str:
+    circles, cones = as_int(circles, "circles"), as_int(cones, "cones")
     if circles < 1 or cones < 1:
         raise InvalidParameter("circles and cones must be >= 1")
     if circles > MAX_CIRCLES or cones > MAX_CONES:

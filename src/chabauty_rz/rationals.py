@@ -3,13 +3,21 @@
 Subgroup parameters live in [0, oo]; everything else is a plain Fraction.
 The sentinel compares greater than every rational and equal only to itself,
 which is all the ordering the rest of the code needs.  ``Record`` is the
-base of the package's immutable value types.
+base of the package's immutable value types; ``as_int`` and
+``as_fraction`` read every integer and rational input.
 """
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
+from operator import index
 from typing import Union
+
+
+class InvalidParameter(ValueError):
+    """Input outside its legal range; every typed error of the package
+    except ``literals.ParseError`` derives from it."""
 
 
 class _Infinity:
@@ -54,11 +62,31 @@ def is_inf(x: ExtQ) -> bool:
     return x is INF
 
 
+def as_int(x, name: str) -> int:
+    """``x`` read by ``operator.index`` (a bool reads as 0 or 1), or ``InvalidParameter``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, not {type(x).__name__}") from None
+
+
+def at_least(x, name: str, least: int) -> int:
+    """The integer ``x`` read by ``as_int``; below ``least`` it is refused."""
+    x = as_int(x, name)
+    if x < least:
+        raise InvalidParameter(f"{name} must be >= {least}")
+    return x
+
+
 def as_fraction(x) -> Fraction:
-    """Coerce ints/strings to Fraction, leaving Fractions untouched."""
+    """Coerce ints/strings to Fraction, leaving Fractions untouched; what
+    ``Fraction()`` cannot read raises ``InvalidParameter``."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidParameter(f"{reprlib.repr(x)} is not a rational number") from None
 
 
 def fmt_q(x: ExtQ) -> str:
@@ -79,27 +107,38 @@ def fmt_record(name: str, value: Record) -> str:
 class Record:
     """An immutable value whose fields are the names in ``__slots__``.
 
-    A subclass declares ``__slots__`` and an ``__init__`` that checks its
-    arguments and stores each field with ``object.__setattr__``, and
-    nothing else.  Equality (same class, equal fields), hashing (the
-    tuple of the fields), ``Name(field=value, ...)`` printing, copying
-    and pickling all follow from ``__slots__``.  Afterwards the fields
-    cannot change.
+    A subclass declares ``__slots__``: ``__init__`` takes the slot names
+    and stores each field, after calling the subclass's ``_check``
+    staticmethod if it has one, which takes the slot names and returns the
+    fields in ``__slots__`` order; a hand-written ``__init__`` is kept.
+    Equality (same class, equal fields), hashing (the tuple of the
+    fields), ``Name(field=value, ...)`` printing, copying and pickling all
+    follow from ``__slots__`` too.  Afterwards the fields cannot change.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # Compiled, so that each ``self.<slot>`` read takes CPython's slot
-        # fast path: with an ``operator.attrgetter`` in its place == and
-        # hash cost up to 45 % more.  Slot names are checked identifiers.
-        reads = "".join(f"self.{name}, " for name in cls.__slots__)
-        cls._values = eval(f"lambda self: ({reads})")
-
-    def _values(self) -> tuple:
-        """The fields, in ``__slots__`` order; compiled for each subclass."""
-        return ()
+        # Compiled, in one ``exec``, so that each ``self.<slot>`` read takes
+        # CPython's slot fast path (with an ``operator.attrgetter`` == and
+        # hash cost up to 45 % more), and each store calls its slot's setter
+        # past the refusing ``__setattr__``.  Slot names are identifiers.
+        names = cls.__slots__
+        fields = "".join(f"{name}, " for name in names)
+        reads = "".join(f"self.{name}, " for name in names)
+        source = f"def _values(self):\n    return ({reads})\n"
+        scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+        if names and "__init__" not in cls.__dict__:
+            source += f"def __init__(self, {fields}):\n"
+            if hasattr(cls, "_check"):
+                scope["_check"] = cls._check
+                source += f"    {fields}= _check({fields})\n"
+            source += "".join(f"    _set_{name}(self, {name})\n" for name in names)
+        exec(source, scope)
+        cls._values = scope["_values"]
+        if "__init__" in scope:
+            cls.__init__ = scope["__init__"]
 
     def __eq__(self, other):
         if type(other) is not type(self):

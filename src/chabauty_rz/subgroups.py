@@ -23,12 +23,7 @@ from itertools import chain, repeat
 from math import floor, gcd, lcm
 from typing import NamedTuple, Sequence, Tuple, Union
 
-from .rationals import INF, ExtQ, Record, as_fraction, is_inf
-
-
-class InvalidParameter(ValueError):
-    """Input outside its legal range; every typed error of the package
-    except ``literals.ParseError`` derives from it."""
+from .rationals import INF, InvalidParameter, Record, as_fraction, as_int, at_least, is_inf
 
 
 class ZeroPoint(InvalidParameter):
@@ -43,50 +38,43 @@ class PointRZ(NamedTuple):
 class TypeI(Record):
     __slots__ = ("alpha",)  # in [0, INF]
 
-    def __init__(self, alpha: ExtQ):
+    @staticmethod
+    def _check(alpha):
         if alpha is not INF:
             alpha = as_fraction(alpha)
             if alpha.numerator < 0:
                 raise InvalidParameter("TypeI alpha must be >= 0")
-        object.__setattr__(self, "alpha", alpha)
+        return (alpha,)
 
 
 class TypeII(Record):
     __slots__ = ("gamma", "n")
 
-    def __init__(self, gamma: Fraction, n: int):
-        gamma = as_fraction(gamma)
-        if n <= 0:
-            raise InvalidParameter("TypeII n must be >= 1")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "n", n)
+    @staticmethod
+    def _check(gamma, n):
+        return as_fraction(gamma), at_least(n, "TypeII n", 1)
 
 
 class TypeIII(Record):
     # alpha strictly between 0 and INF, beta the representative in [0, 1)
     __slots__ = ("alpha", "beta", "n")
 
-    def __init__(self, alpha: Fraction, beta: Fraction, n: int):
+    @staticmethod
+    def _check(alpha, beta, n):
         if alpha is INF or as_fraction(alpha).numerator <= 0:
             raise InvalidParameter("TypeIII alpha must be in (0, INF)")
-        alpha = as_fraction(alpha)
         beta = as_fraction(beta)
         if not (0 <= beta.numerator < beta.denominator):
             raise InvalidParameter("TypeIII beta must lie in [0, 1)")
-        if n <= 0:
-            raise InvalidParameter("TypeIII n must be >= 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "n", n)
+        return as_fraction(alpha), beta, at_least(n, "TypeIII n", 1)
 
 
 class TypeIV(Record):
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        if n <= 0:
-            raise InvalidParameter("TypeIV n must be >= 1")
-        object.__setattr__(self, "n", n)
+    @staticmethod
+    def _check(n):
+        return (at_least(n, "TypeIV n", 1),)
 
 
 ClosedSubgroup = Union[TypeI, TypeII, TypeIII, TypeIV]
@@ -144,12 +132,12 @@ def canonicalize_params(family: str, **params) -> ClosedSubgroup:
     if family == "I":
         return TypeI(params["alpha"])
     if family == "II":
-        gamma, n = as_fraction(params["gamma"]), params["n"]
+        gamma, n = as_fraction(params["gamma"]), as_int(params["n"], "n")
         if n < 0:
             gamma, n = -gamma, -n
         return TypeII(gamma, n)
     if family == "III":
-        beta, n = as_fraction(params["beta"]), params["n"]
+        beta, n = as_fraction(params["beta"]), as_int(params["n"], "n")
         num = beta.numerator
         if n < 0:
             # Z(1/a,0) + Z(b/a, n) = Z(1/a,0) + Z(-b/a, -n)
@@ -168,7 +156,7 @@ def classify_from_generators(gens: Sequence[Tuple]) -> ClosedSubgroup:
     are reduced to a two-element basis (g, 0), (q, n) of the lattice they
     span in Z^2, and ``from_levels`` reads the family off that basis.
     """
-    pts = [(as_fraction(x), int(m)) for x, m in gens]
+    pts = [(as_fraction(x), as_int(m, "level")) for x, m in gens]
     if not pts:
         return TypeI(Fraction(0))
     d = lcm(*(x.denominator for x, _ in pts))
@@ -228,6 +216,7 @@ def level_set(H: ClosedSubgroup, m: int):
     (offset, spacing) describing offset + spacing*Z; spacing None means
     the single point {offset}.
     """
+    m = as_int(m, "level")
     if isinstance(H, TypeI):
         if m != 0:
             return None
@@ -334,7 +323,7 @@ def from_levels(L: IntLevels) -> ClosedSubgroup:
 
 def membership(H: ClosedSubgroup, p: Tuple) -> bool:
     """Exact membership test for a rational point."""
-    x, m = as_fraction(p[0]), int(p[1])
+    x, m = as_fraction(p[0]), as_int(p[1], "level")
     ls = level_set(H, m)
     if ls is None:
         return False
@@ -395,7 +384,7 @@ def _coset_distance(x: Fraction, offset: Fraction, spacing) -> Fraction:
 
 def distance_point_to_subgroup(p: Tuple, H: ClosedSubgroup) -> Fraction:
     """Exact delta-distance from a rational point to the closed set H."""
-    x, m = as_fraction(p[0]), int(p[1])
+    x, m = as_fraction(p[0]), as_int(p[1], "level")
     if isinstance(H, TypeI):
         return _distance_via_level(x, m, H, 0)
     nearest = round(Fraction(m, H.n)) * H.n
@@ -425,8 +414,7 @@ def eta_cyclic(x, level: int):
     The representative has level > 0, or level = 0 and x > 0; the closure
     of the generated group comes from the classifier.
     """
-    x = as_fraction(x)
-    level = int(level)
+    x, level = as_fraction(x), as_int(level, "level")
     if x == 0 and level == 0:
         raise ZeroPoint("(0, 0) generates the trivial group; no cyclic representative")
     if level < 0 or (level == 0 and x < 0):

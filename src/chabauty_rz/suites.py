@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .rationals import INF, Record, fmt_q
+from .rationals import INF, Record, as_int, fmt_q
 from .subgroups import (
     ClosedSubgroup,
     InvalidParameter,
@@ -39,7 +39,7 @@ from .earring import (
     subgroup_to_model,
     winding_count,
 )
-from .denjoy import blowup_total_length
+from .denjoy import Interval, blowup_interval_start, blowup_total_length, denjoy_xi
 from .equivalence import AxisCoord, BoundaryCoord, check_equivalence, subgroup_image
 from .literals import format_subgroup
 from .oracle import oracle_closure_ball, totient
@@ -52,19 +52,9 @@ class UnknownSuite(InvalidParameter):
 class CaseResult(Record):
     __slots__ = ("id", "passed", "detail")
 
-    def __init__(self, id: str, passed: bool, detail: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class SuiteReport(Record):
     __slots__ = ("suite", "seed", "cases")
-
-    def __init__(self, suite: str, seed: int, cases: Tuple[CaseResult, ...]):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "cases", cases)
 
     @property
     def passed(self) -> bool:
@@ -247,7 +237,8 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
         ok3 = chart_psi_I_inverse(chart_psi_I(alpha)) == alpha
         cases.append(CaseResult(f"axis-roundtrip-{i:03d}", ok3, fmt_q(alpha)))
 
-    # Blow-up layout sanity: totals increase in B, order is monotone in u.
+    # Blow-up layout sanity: totals increase in B, and each sample that
+    # lands in an interval sits at its arc position u * L_B, in u's order.
     totals = [blowup_total_length(B) for B in (2, 4, 8, 16, 32)]
     inc = all(a < b for a, b in zip(totals, totals[1:]))
     bounded = all(
@@ -263,9 +254,17 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
     )
 
     us = sorted(Fraction(rng.randint(0, 2**20 - 1), 2**20) for _ in range(24))
-    positions = [u * blowup_total_length(16) for u in us]
-    mono = all(a < b for a, b in zip(positions, positions[1:]) if a != b)
-    cases.append(CaseResult("blowup-monotone", mono, f"{len(us)} ordered samples"))
+    total = blowup_total_length(16)
+    hits = []  # (u, the position read back from u's interval coordinate)
+    for u in us:
+        c = denjoy_xi(u, 16)
+        if isinstance(c, Interval):
+            b = c.rational.denominator
+            hits.append((u, blowup_interval_start(c.rational, 16) + c.lam / b**3))
+    exact = all(x == u * total for u, x in hits)
+    ordered = all(x < y for (u, x), (v, y) in zip(hits, hits[1:]) if u != v)
+    detail = f"{len(hits)} of {len(us)} samples in an interval, each at u * L_16 in u's order"
+    cases.append(CaseResult("blowup-monotone", exact and ordered, detail))
     return cases
 
 
@@ -411,6 +410,7 @@ def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
     """Run one named suite deterministically under the given seed."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
+    seed, budget = as_int(seed, "seed"), as_int(budget, "budget")
     if budget <= 0:
         raise InvalidParameter("budget must be positive")
     if budget > MAX_BUDGET:

@@ -6,6 +6,9 @@ beta mod 1, the chart and equivalence maps, and the tolerance check of
 Each outcome was recorded from the same calls when these checks were
 ``Fraction`` comparisons (``alpha < 0``, ``0 <= beta < 1``, ``beta % 1``,
 ``tol <= 0``): the repr of the value, or the error's type and message.
+Where a rational is needed, INF once raised ``Fraction``'s ``TypeError``;
+``as_fraction`` now refuses it with ``InvalidParameter``, and those rows
+say so.
 """
 
 from fractions import Fraction
@@ -85,7 +88,7 @@ OUTCOMES = {
         (1, ('InvalidParameter', 'TypeIII beta must lie in [0, 1)')),
         (Fraction(1, 2), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=1)'),
         (Fraction(999, 1000), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(999, 1000), n=1)'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, ('InvalidParameter', 'TypeIII beta must lie in [0, 1)')),
         ('1/2', 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=1)'),
         ('-1/3', ('InvalidParameter', 'TypeIII beta must lie in [0, 1)')),
@@ -121,7 +124,7 @@ OUTCOMES = {
         (1, ('InvalidParameter', 'cone beta must lie in [0, 1)')),
         (Fraction(1, 2), 'ConePoint(k=2, alpha=Fraction(1, 1), beta=Fraction(1, 2))'),
         (Fraction(999, 1000), 'ConePoint(k=2, alpha=Fraction(1, 1), beta=Fraction(999, 1000))'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, ('InvalidParameter', 'cone beta must lie in [0, 1)')),
         ('1/2', 'ConePoint(k=2, alpha=Fraction(1, 1), beta=Fraction(1, 2))'),
         ('-1/3', ('InvalidParameter', 'cone beta must lie in [0, 1)')),
@@ -133,7 +136,7 @@ OUTCOMES = {
         (1, ('InvalidParameter', 'interval label must lie in [0, 1)')),
         (Fraction(1, 2), 'BoundaryCoord(rational=Fraction(1, 2), t=Fraction(1, 1))'),
         (Fraction(999, 1000), 'BoundaryCoord(rational=Fraction(999, 1000), t=Fraction(1, 1))'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, ('InvalidParameter', 'interval label must lie in [0, 1)')),
         ('1/2', 'BoundaryCoord(rational=Fraction(1, 2), t=Fraction(1, 1))'),
         ('-1/3', ('InvalidParameter', 'interval label must lie in [0, 1)')),
@@ -145,7 +148,7 @@ OUTCOMES = {
         (1, 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(0, 1), n=1)'),
         (Fraction(1, 2), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=1)'),
         (Fraction(999, 1000), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(999, 1000), n=1)'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(0, 1), n=1)'),
         ('1/2', 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=1)'),
         ('-1/3', 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(2, 3), n=1)'),
@@ -157,7 +160,7 @@ OUTCOMES = {
         (1, 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(0, 1), n=2)'),
         (Fraction(1, 2), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=2)'),
         (Fraction(999, 1000), 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 1000), n=2)'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(0, 1), n=2)'),
         ('1/2', 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 2), n=2)'),
         ('-1/3', 'TypeIII(alpha=Fraction(2, 1), beta=Fraction(1, 3), n=2)'),
@@ -169,7 +172,7 @@ OUTCOMES = {
         (1, 'TypeII(gamma=Fraction(-1, 1), n=2)'),
         (Fraction(1, 2), 'TypeII(gamma=Fraction(-1, 2), n=2)'),
         (Fraction(999, 1000), 'TypeII(gamma=Fraction(-999, 1000), n=2)'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'TypeII(gamma=Fraction(-3, 1), n=2)'),
         ('1/2', 'TypeII(gamma=Fraction(-1, 2), n=2)'),
         ('-1/3', 'TypeII(gamma=Fraction(1, 3), n=2)'),
@@ -181,7 +184,7 @@ OUTCOMES = {
         (1, 'DistanceBracket(lo=Fraction(1, 2), hi=Fraction(1, 2))'),
         (Fraction(1, 2), 'DistanceBracket(lo=Fraction(1, 2), hi=Fraction(1, 2))'),
         (Fraction(999, 1000), 'DistanceBracket(lo=Fraction(1, 2), hi=Fraction(1, 2))'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'DistanceBracket(lo=Fraction(1, 2), hi=Fraction(1, 2))'),
         ('1/2', 'DistanceBracket(lo=Fraction(1, 2), hi=Fraction(1, 2))'),
         ('-1/3', ('ToleranceInvalid', 'tol must be > 0')),
@@ -229,7 +232,7 @@ OUTCOMES = {
         (1, 'TypeII(gamma=Fraction(3, 1), n=6)'),
         (Fraction(1, 2), 'TypeII(gamma=Fraction(3, 2), n=6)'),
         (Fraction(999, 1000), 'TypeII(gamma=Fraction(2997, 1000), n=6)'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'TypeII(gamma=Fraction(9, 1), n=6)'),
         ('1/2', 'TypeII(gamma=Fraction(3, 2), n=6)'),
         ('-1/3', 'TypeII(gamma=Fraction(-1, 1), n=6)'),
@@ -241,7 +244,7 @@ OUTCOMES = {
         (1, 'OnCircle(circle=3, t=Fraction(1, 3))'),
         (Fraction(1, 2), 'OnCircle(circle=3, t=Fraction(1, 6))'),
         (Fraction(999, 1000), 'OnCircle(circle=3, t=Fraction(333, 1000))'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'OnCircle(circle=3, t=Fraction(1, 1))'),
         ('1/2', 'OnCircle(circle=3, t=Fraction(1, 6))'),
         ('-1/3', 'OnCircle(circle=3, t=Fraction(-1, 9))'),
@@ -253,7 +256,7 @@ OUTCOMES = {
         (1, 'True'),
         (Fraction(1, 2), 'True'),
         (Fraction(999, 1000), 'True'),
-        (INF, ('TypeError', 'argument should be a string or a Rational instance')),
+        (INF, ('InvalidParameter', 'INF is not a rational number')),
         (3, 'True'),
         ('1/2', 'True'),
         ('-1/3', 'True'),

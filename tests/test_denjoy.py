@@ -499,6 +499,12 @@ class TestKernelAgainstLoops:
         assert bands["left", True] and bands["right", False]
         assert not bands["left", False]
 
+    def test_stage_one_at_precision_one(self):
+        # the band past I_{0/1} covers the one gap: the first sample past D
+        for grid in range(8, 4097):
+            j = _first_unresolved.__wrapped__(grid, 1)
+            assert j == ref_first_unresolved(grid, 1) == grid // 2 + 1
+
     @pytest.mark.parametrize("grid, B", BENCH_KEYS + DRAWN_KEYS)
     def test_stage_two(self, grid, B):
         bs = {m // k for k in range(1, 7) for m in range(1, 13) if m % k == 0}

@@ -10,14 +10,40 @@ from fractions import Fraction as F
 
 import pytest
 
+import chabauty_rz
 from chabauty_rz import InvalidParameter
-from chabauty_rz.denjoy import IRRATIONAL, Interval, IrrationalPoint, Unresolved
-from chabauty_rz.earring import BASEPOINT, AxisCoord, Basepoint, ConePoint, OnCircle
+from chabauty_rz.denjoy import (
+    IRRATIONAL,
+    Interval,
+    IrrationalPoint,
+    Unresolved,
+    denjoy_xi,
+    glue_boundary,
+)
+from chabauty_rz.earring import (
+    BASEPOINT,
+    AxisCoord,
+    Basepoint,
+    ConePoint,
+    OnCircle,
+    winding_count,
+)
 from chabauty_rz.equivalence import BoundaryCoord
-from chabauty_rz.metric import DistanceBracket, LimitReport
-from chabauty_rz.rationals import INF, Record
-from chabauty_rz.subgroups import TypeI, TypeII, TypeIII, TypeIV
-from chabauty_rz.suites import CaseResult, SuiteReport
+from chabauty_rz.metric import DistanceBracket, LimitReport, chabauty_distance, verify_limit
+from chabauty_rz.oracle import oracle_closure_ball
+from chabauty_rz.rationals import INF, Record, as_int
+from chabauty_rz.subgroups import (
+    TypeI,
+    TypeII,
+    TypeIII,
+    TypeIV,
+    classify_from_generators,
+    distance_point_to_subgroup,
+    elements_in_ball,
+    eta_cyclic,
+    membership,
+)
+from chabauty_rz.suites import CaseResult, SuiteReport, run_suite
 
 #: (value, its field names, its repr), one or more per value type.
 VALUES = [
@@ -140,10 +166,69 @@ def test_validation_messages(build, message):
     assert str(info.value) == message
 
 
-# Records with 0, 1 and 3 fields and no per-class code beyond __init__; at
-# module level, so that pickle finds them.
+#: Inputs that were read wrongly or refused with an untyped error, each
+#: with the old outcome; each is now refused with InvalidParameter.
+REFUSED = [
+    ("membership(TypeIV(1), (0, 1.5))", "True: the level was truncated to 1",
+     "level must be an integer, not float"),
+    ("distance_point_to_subgroup((0, 1.5), TypeIV(1))", "0",
+     "level must be an integer, not float"),
+    ("classify_from_generators([(0, 1.5)])", "TypeII(gamma=Fraction(0, 1), n=1)",
+     "level must be an integer, not float"),
+    ("oracle_closure_ball([(0, 1.5)], 2)", "the ball of the group through (0, 1)",
+     "level must be an integer, not float"),
+    ("eta_cyclic(1, 1.5)", "the generator (1, 1)", "level must be an integer, not float"),
+    ("TypeIV(1.5)", "TypeIV(n=1.5)", "TypeIV n must be an integer, not float"),
+    ("chabauty_distance(TypeIV(1.5), TypeIV(1), 1)", "[1, 1]",
+     "TypeIV n must be an integer, not float"),
+    ("glue_boundary(1.5, Interval(F(1, 2), F(1, 2)))", "OnCircle(circle=3.0, t=Fraction(0, 1))",
+     "cone index must be an integer, not float"),
+    ("TypeIV('3')", "TypeError", "TypeIV n must be an integer, not str"),
+    ("winding_count(1.5, 3)", "TypeError", "cone index must be an integer, not float"),
+    ("denjoy_xi(0, 64.0)", "TypeError", "max_denominator must be an integer, not float"),
+    ("run_suite('metric', 0, 2.5)", "TypeError", "budget must be an integer, not float"),
+    ("verify_limit([TypeI(1)], TypeI(1), 1, 1.0)", "TypeError",
+     "tail must be an integer, not float"),
+    ("TypeI(float('inf'))", "OverflowError", "inf is not a rational number"),
+    ("TypeII('abc', 1)", "ValueError", "'abc' is not a rational number"),
+    ("TypeI('1' * 5000)", "ValueError", "'111111111111...1111111111111' is not a rational number"),
+    ("elements_in_ball(TypeI(1), float('nan'))", "ValueError", "nan is not a rational number"),
+]
+
+
+@pytest.mark.parametrize("call, was, message", REFUSED, ids=[call for call, _, _ in REFUSED])
+def test_unreadable_integers_and_rationals_are_refused(call, was, message):
+    try:
+        got = eval(call)
+    except InvalidParameter as exc:
+        assert str(exc) == message
+    else:
+        pytest.fail(f"{call} answered {got!r}, as it once answered {was}")
+
+
+def test_integers_and_rationals_that_read():
+    assert TypeIV(True) == TypeIV(1) and type(TypeIV(True).n) is int
+    assert TypeII(0.5, 2) == TypeII(F(1, 2), 2)  # floats that Fraction reads exactly
+    assert membership(TypeIV(1), (0.25, True))
+    assert chabauty_rz.subgroups.InvalidParameter is chabauty_rz.rationals.InvalidParameter
+
+
+# Records with 0, 1, 2 and 3 fields: by __slots__ alone, with a _check, and
+# with a hand-written __init__; at module level, so that pickle finds them.
 class NoFields(Record):
     __slots__ = ()
+
+
+class NoInit(Record):
+    __slots__ = ("a", "b")
+
+
+class Checked(Record):
+    __slots__ = ("a", "b")
+
+    @staticmethod
+    def _check(a, b):
+        return as_int(a, "a"), as_int(b, "b")
 
 
 class OneField(Record):
@@ -164,6 +249,8 @@ class ThreeFields(Record):
 
 @pytest.mark.parametrize("cls, text", [
     (NoFields, "NoFields()"),
+    (NoInit, "NoInit(a=1, b=2)"),
+    (Checked, "Checked(a=1, b=2)"),
     (OneField, "OneField(a=1)"),
     (ThreeFields, "ThreeFields(a=1, b=2, c=3)"),
 ])
@@ -182,3 +269,12 @@ def test_every_slot_is_a_field(cls, text):
         assert f"{name}=-1" in repr(other)
         for twin in (copy.copy(other), pickle.loads(pickle.dumps(other))):
             assert twin == other != value
+
+
+def test_check_runs_before_the_fields_are_stored():
+    value = Checked(b=False, a=True)
+    assert repr(value) == "Checked(a=1, b=0)" and value == Checked(1, 0)
+    with pytest.raises(InvalidParameter, match="b must be an integer, not str"):
+        Checked(1, "2")
+    with pytest.raises(TypeError):
+        NoInit(1)
