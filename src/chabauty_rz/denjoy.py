@@ -94,6 +94,10 @@ class Interval(Record):
     # coordinate in [0, 1] along it
     __slots__ = ("rational", "lam")
 
+    @staticmethod
+    def _check(rational, lam):
+        return as_fraction(rational), as_fraction(lam)
+
 
 class IrrationalPoint(Record):
     """Outside every blow-up interval of denominator <= the query precision."""
@@ -103,6 +107,10 @@ class IrrationalPoint(Record):
 
 class Unresolved(Record):
     __slots__ = ("precision_used",)
+
+    @staticmethod
+    def _check(precision_used):
+        return (at_least(precision_used, "precision_used", 1),)
 
 
 DenjoyCoord = Union[Interval, IrrationalPoint, Unresolved]
@@ -423,27 +431,25 @@ def denjoy_xi(u, max_denominator: int) -> DenjoyCoord:
     return Interval(Fraction(a, b), Fraction(off, width))
 
 
-def slope_from_lambda(lam: Fraction) -> Fraction:
-    """t = (2l - 1)/(l(1 - l)), strictly increasing from (0,1) onto R."""
-    return (2 * lam - 1) / (lam * (1 - lam))
-
-
 def glue_boundary(k: int, coord: DenjoyCoord) -> EarringPoint:
     """Attach the boundary of cone k to the earring.
 
     An interval of denominator b wraps onto circle k*b; interval ends,
     irrational-type points, and the whole boundary of the degenerate cone
-    k = 0 land on the basepoint.
+    k = 0 land on the basepoint.  The slope on circle k*b is t(lam), as in
+    the module docstring.
     """
     if isinstance(coord, Unresolved):
         raise UnresolvedInput("escalate the blow-up precision before gluing")
+    if not isinstance(coord, (Interval, IrrationalPoint)):
+        raise InvalidParameter(f"not a blow-up coordinate: {coord!r}")
     k = at_least(k, "cone index", 0)
     if k == 0 or isinstance(coord, IrrationalPoint):
         return BASEPOINT
-    if not (0 < coord.lam < 1):
+    lam = coord.lam
+    if not (0 < lam < 1):
         return BASEPOINT
-    b = coord.rational.denominator
-    return OnCircle(k * b, slope_from_lambda(coord.lam))
+    return OnCircle(k * coord.rational.denominator, (2 * lam - 1) / (lam * (1 - lam)))
 
 
 def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> int:

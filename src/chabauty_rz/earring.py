@@ -2,10 +2,7 @@
 
 The earring A is the union of circles A_n of centre 1/n and radius 1/n in
 the plane, all through the origin.  A point of A_n away from the origin is
-parametrised by the rational slope t = tan(theta); the planar embedding
-(1/n)(1 + e^{2i theta}) stays rational via
-
-    e^{2i theta} = ((1 - t^2) + 2it) / (1 + t^2).
+parametrised by the rational slope t = tan(theta).
 
 The model space is a sequence of closed cones accumulating on a segment
 axis [0, INF], with every cone boundary glued onto the earring.  Chart
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Tuple, Union
+from typing import Union
 
 from .rationals import INF, ExtQ, Record, as_fraction, as_int, at_least
 from .subgroups import (
@@ -82,14 +79,6 @@ class OnCircle(Record):
 EarringPoint = Union[Basepoint, OnCircle]
 
 BASEPOINT = Basepoint()
-
-
-def embed_earring(p: EarringPoint) -> Tuple[Fraction, Fraction]:
-    """Exact planar coordinates of an earring point."""
-    if isinstance(p, Basepoint):
-        return (Fraction(0), Fraction(0))
-    den = 1 + p.t * p.t
-    return (Fraction(2, p.circle) / den, Fraction(2, p.circle) * p.t / den)
 
 
 class ConePoint(Record):

@@ -82,6 +82,8 @@ def subgroup_image(coord: Coordinate) -> ClosedSubgroup:
     k = as_int(k, "level")
     if isinstance(c, AxisCoord):
         return TypeI(c.alpha)
+    if not isinstance(c, BoundaryCoord):
+        raise InvalidParameter(f"not a coordinate: {c!r}")
     if c.rational is None or c.t is None or k == 0:
         return TypeI(Fraction(0))
     return chart_psi_II_n(k, OnCircle(c.rational.denominator, c.t))

@@ -17,8 +17,8 @@ the best of a finite set of candidate points for a discrete group, or a
 closed form for a strip (I(inf), IV(n)); scores are int fractions
 compared by cross-multiplication, and witnesses int points at scale D.
 So d is always rational, ``chabauty_distance`` builds one ``Fraction``
-and returns [d, d], and ``distance_witness`` and ``side_sup`` build a
-point only for the side they return.
+and returns [d, d], and ``distance_witness`` builds a point only for
+the side it returns.
 
 The work is bounded.  No point scores more than 1, so every search stops
 once its best score is 1, and the second side is skipped when the first
@@ -206,8 +206,11 @@ class Witness(NamedTuple):
     outer: ClosedSubgroup
 
 
-def side_sup(A: ClosedSubgroup, B: ClosedSubgroup) -> Witness:
-    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)), with a witness.
+def _side(A: IntLevels, B: IntLevels):
+    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)), in ints at the
+    common scale: (num, den, X, W, m), the score num/den attained at the
+    point (X/W, m); (0, 1, 0, 1, 0) when A lies in B.  No score exceeds
+    1, and num == den exactly when it is 1.
 
     Only the level of B through p matters: any other level is at height
     distance >= 1, while min(1/|p|, dist(x, B_m)) <= 1 (for |p| < 1 the
@@ -216,13 +219,6 @@ def side_sup(A: ClosedSubgroup, B: ClosedSubgroup) -> Witness:
     Both groups are symmetric under p -> -p, so only levels m >= 0 are
     walked, and only while 1/m can still beat the best score.
     """
-    return _witness(_side(*_common_levels(A, B)), A, B)
-
-
-def _side(A: IntLevels, B: IntLevels):
-    """S(A, B) in ints at the common scale: (num, den, X, W, m), the score
-    num/den attained at the point (X/W, m); (0, 1, 0, 1, 0) when A lies
-    in B.  No score exceeds 1, and num == den exactly when it is 1."""
     if _levels_subset(A, B):
         return 0, 1, 0, 1, 0
     return (_strip_sup if A.line else _discrete_sup)(A, B)
@@ -420,7 +416,7 @@ def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
 def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBracket:
     """The distance d(H, H2) as the exact bracket [d, d].
 
-    d = max(S(H, H2), S(H2, H)), S as in ``side_sup``; it is always
+    d = max(S(H, H2), S(H2, H)), S as in ``_side``; it is always
     rational (see ``_strip_sup`` for the strips), so lo == hi.  ``tol``
     bounds the bracket width, which is 0; it must still be > 0.  Equal
     subgroups give [0, 0]: their levels at the common scale are equal,

@@ -58,10 +58,6 @@ INF = _Infinity()
 ExtQ = Union[Fraction, _Infinity]
 
 
-def is_inf(x: ExtQ) -> bool:
-    return x is INF
-
-
 def as_int(x, name: str) -> int:
     """``x`` read by ``operator.index`` (a bool reads as 0 or 1), or ``InvalidParameter``."""
     try:

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from math import floor, gcd, lcm
 from typing import NamedTuple, Sequence, Tuple, Union
 
-from .rationals import INF, InvalidParameter, Record, as_fraction, as_int, at_least, is_inf
+from .rationals import INF, InvalidParameter, Record, as_fraction, as_int, at_least
 
 
 class ZeroPoint(InvalidParameter):
@@ -220,7 +220,7 @@ def level_set(H: ClosedSubgroup, m: int):
     if isinstance(H, TypeI):
         if m != 0:
             return None
-        if is_inf(H.alpha):
+        if H.alpha is INF:
             return LINE
         if H.alpha == 0:
             return (Fraction(0), None)
@@ -286,7 +286,7 @@ def int_levels(H: ClosedSubgroup) -> IntLevels:
     """H's integer basis at its least scale: the least D > 0 with D*H
     inside Z x Z, and 1 for the groups made of lines."""
     if isinstance(H, TypeI):
-        if is_inf(H.alpha):
+        if H.alpha is INF:
             return IntLevels(1, 0, 0, 0, True)
         if not H.alpha:
             return IntLevels(1, 0, 0, 0, False)

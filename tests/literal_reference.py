@@ -14,15 +14,14 @@ from typing import List, Tuple
 
 from chabauty_rz import (
     INF,
-    ClosedSubgroup,
     ParseError,
     TypeI,
     TypeII,
     TypeIII,
     TypeIV,
-    canonicalize_params,
     classify_from_generators,
 )
+from chabauty_rz.subgroups import ClosedSubgroup, canonicalize_params
 
 
 class _Cursor:

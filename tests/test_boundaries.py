@@ -24,7 +24,6 @@ from chabauty_rz import (
     TypeI,
     TypeII,
     TypeIII,
-    canonicalize_params,
     chabauty_distance,
     chart_psi_II_n,
     chart_psi_II_n_inverse,
@@ -32,6 +31,7 @@ from chabauty_rz import (
     model_to_subgroup,
     subgroup_to_model,
 )
+from chabauty_rz.subgroups import canonicalize_params
 
 CALLS = {
     "TypeI": lambda v: TypeI(v),

@@ -23,27 +23,11 @@ from chabauty_rz import (
     chart_psi_II_n_inverse,
     chart_psi_III_n,
     chart_psi_III_n_inverse,
-    embed_earring,
     model_to_subgroup,
     subgroup_to_model,
 )
 
 from strategies import fractions_st, subgroups_st
-
-
-class TestEarringEmbedding:
-    def test_basepoint_at_origin(self):
-        assert embed_earring(BASEPOINT) == (F(0), F(0))
-
-    def test_slope_zero_is_far_point(self):
-        # t = 0 is the point of A_n diametrically opposite the basepoint
-        assert embed_earring(OnCircle(2, F(0))) == (F(1), F(0))
-
-    def test_rational_circle_equation(self):
-        p = OnCircle(3, F(5, 7))
-        x, y = embed_earring(p)
-        c = F(1, 3)
-        assert (x - c) ** 2 + y**2 == c**2
 
 
 class TestAxisChart:

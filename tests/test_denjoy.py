@@ -19,11 +19,9 @@ from chabauty_rz import (
     Unresolved,
     UnresolvedInput,
     UnresolvedSample,
-    blowup_interval_start,
     blowup_total_length,
     denjoy_xi,
     glue_boundary,
-    slope_from_lambda,
     winding_count,
     winding_count_sampled,
 )
@@ -39,6 +37,7 @@ from chabauty_rz.denjoy import (
     _locate,
     _turns,
     _winding,
+    blowup_interval_start,
 )
 
 
@@ -361,12 +360,13 @@ class TestLocation:
 
 
 class TestSlope:
+    # the slope t that glue_boundary gives a point lam of I_{1/3} on circle 3
     def test_midpoint_is_zero(self):
-        assert slope_from_lambda(F(1, 2)) == 0
+        assert glue_boundary(1, Interval(F(1, 3), F(1, 2))) == OnCircle(3, F(0))
 
     def test_strictly_increasing(self):
         lams = [F(j, 10) for j in range(1, 10)]
-        ts = [slope_from_lambda(l) for l in lams]
+        ts = [glue_boundary(1, Interval(F(1, 3), lam)).t for lam in lams]
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
 
@@ -388,6 +388,20 @@ class TestGluing:
     def test_unresolved_rejected(self):
         with pytest.raises(UnresolvedInput):
             glue_boundary(2, Unresolved(8))
+
+    def test_float_fields_are_read_exactly(self):
+        assert Interval(0.5, 0.5) == Interval(F(1, 2), F(1, 2))
+        assert glue_boundary(1, Interval(0.5, 0.5)) == OnCircle(2, F(0))
+
+    def test_what_is_not_a_coordinate_is_refused(self):
+        with pytest.raises(InvalidParameter, match=r"^not a blow-up coordinate: 'x'$"):
+            glue_boundary(1, "x")
+        with pytest.raises(InvalidParameter, match="is not a rational number"):
+            Interval("x", F(1, 2))
+        with pytest.raises(InvalidParameter, match="is not a rational number"):
+            Interval(F(1, 2), "x")
+        with pytest.raises(InvalidParameter, match="precision_used must be an integer"):
+            Unresolved("x")
 
 
 class TestSampledWinding:

@@ -64,6 +64,13 @@ class TestRelation:
         with pytest.raises(InvalidParameter):
             AxisCoord(F(-1))
 
+    def test_what_is_not_a_coordinate_is_refused(self):
+        # both entry points refuse it with the same message
+        for call in (lambda: subgroup_image((1, "x")),
+                     lambda: check_equivalence((1, "x"), (0, AxisCoord(F(1))))):
+            with pytest.raises(InvalidParameter, match=r"^not a coordinate: 'x'$"):
+                call()
+
 
 @st.composite
 def coordinates_st(draw):

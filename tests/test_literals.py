@@ -15,9 +15,9 @@ from chabauty_rz import (
     TypeIII,
     TypeIV,
     format_subgroup,
-    parse_rational,
     parse_subgroup,
 )
+from chabauty_rz.literals import parse_rational
 
 import literal_reference as reference
 from strategies import literals, mutated, rational_text, subgroups_st
@@ -99,7 +99,7 @@ class TestParsing:
     def test_the_walk_loads_only_for_a_failing_literal(self):
         code = (
             "import sys\n"
-            "from chabauty_rz import parse_rational, parse_subgroup\n"
+            "from chabauty_rz.literals import parse_rational, parse_subgroup\n"
             "parse_subgroup(' gen[ (1/2 , 0) ] '); parse_rational('-3/4')\n"
             "assert 'chabauty_rz._literal_walk' not in sys.modules\n"
             "try:\n"

@@ -18,18 +18,21 @@ from chabauty_rz import (
     TypeIII,
     TypeIV,
     ZeroPoint,
-    canonicalize_params,
     classify_from_generators,
-    distance_point_to_subgroup,
     elements_in_ball,
     eta_cyclic,
-    is_inf,
-    level_set,
     membership,
     oracle_closure_ball,
 )
 from chabauty_rz import subgroups
-from chabauty_rz.subgroups import LINE, from_levels, int_levels
+from chabauty_rz.subgroups import (
+    LINE,
+    canonicalize_params,
+    distance_point_to_subgroup,
+    from_levels,
+    int_levels,
+    level_set,
+)
 
 from balls import fraction_points
 from strategies import fractions_st, generator_lists_st, subgroups_st
@@ -147,7 +150,7 @@ class TestLevelSets:
             xs = [1 / H.alpha, H.beta / H.alpha]
         elif isinstance(H, TypeII):
             xs = [H.gamma]
-        elif isinstance(H, TypeI) and not is_inf(H.alpha) and H.alpha:
+        elif isinstance(H, TypeI) and H.alpha is not INF and H.alpha:
             xs = [1 / H.alpha]
         else:
             xs = []
