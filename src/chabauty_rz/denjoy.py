@@ -31,23 +31,23 @@ chooses another precision or grid.
 The layout is built in integers over one common denominator, and it holds
 only the labels up to 1/2.  The reflection x -> fold - x, with fold =
 1 + L_B, maps I_{a/b} onto I_{(b-a)/b}, lambda onto 1 - lambda, and the
-middle of I_{1/2} onto itself.  So a position past that middle is
-answered at its mirror.  There the bands of a gap between the labels i
-and i + 1 both take the width of label i + 1, whose mirror is the
-interval before the original gap, and the mirror of the wrap, the gap
-after 0/1, has only the band next to the label after it.  At B = 1, where
-1/2 is not a label, nothing reflects.
+middle of I_{1/2} onto itself.  So a position past that middle is read
+at its mirror by the same band rule, with label i + 1's width for both
+bands of a gap between labels i and i + 1 (its mirror is the interval
+before the original gap) and no band past I_{0/1} (the gap after 0/1 is
+the wrap's mirror).  At B = 1, where 1/2 is not a label, nothing reflects.
 
 `winding_count_sampled` works by runs of samples, not by single samples,
-in two stages.  Stage one, once per (grid, B), walks the intervals and
-gaps that hold grid points, the samples past the middle at their mirrors.
-It jumps over each interval, whose samples all resolve, and tests a gap's
-guard bands at its first and last samples only; the least unresolved
-index is cached.  Stage two, on every call, counts the winding of the
-sampled walk around A_m exactly, from a few integer sign tests per
-interval of denominator m/k.  A step of exactly pi between two samples
-is not corrected, as the float angle sum that this count replaced kept
-pi.
+in two stages.  Stage one, once per (grid, B), is one walk over the
+intervals and gaps that hold grid points up to I_{1/2}, run forward and
+then, if need be, over the mirrors of the samples past the middle, with
+the bands read at the mirror.  It jumps over each interval, whose samples
+all resolve, and tests a gap's guard bands at its first and last samples
+only; the least unresolved index is cached.  Stage two, on every call,
+counts the winding of the sampled walk around A_m exactly, from a few
+integer sign tests per interval of denominator m/k.  A step of exactly
+pi between two samples is not corrected, as the float angle sum that
+this count replaced kept pi.
 
 The work is bounded: the precision is at most MAX_PRECISION (the layout
 holds about 3 B^2 / (2 pi^2) intervals) and the sampling grid at most
@@ -96,7 +96,12 @@ class Interval(Record):
 
     @staticmethod
     def _check(rational, lam):
-        return as_fraction(rational), as_fraction(lam)
+        rational, lam = as_fraction(rational), as_fraction(lam)
+        if not 0 <= rational.numerator < rational.denominator:
+            raise InvalidParameter("interval label must lie in [0, 1)")
+        if not 0 <= lam.numerator <= lam.denominator:
+            raise InvalidParameter("lambda must lie in [0, 1]")
+        return rational, lam
 
 
 class IrrationalPoint(Record):
@@ -201,34 +206,25 @@ def _locate(
     nums, dens, starts, total, _, widths, fold, mid = _layout(max_denominator)
     pos = num * total
     q = pos // den
-    if q < mid:
-        i = bisect_right(starts, q) - 1  # starts[0] = 0 <= pos
-        b = dens[i]
-        width = widths[b] * den
-        off = pos - starts[i] * den
-        if off <= width:
-            return nums[i], b, off, width
-        # guard band: within width/B^2 of this interval's end or the next
-        # start, which exists unless B = 1, where the first band holds the gap
-        sq = max_denominator * max_denominator
-        if (off - width) * sq < width or (starts[i + 1] * den - pos) * sq < width:
-            return Unresolved(max_denominator)
-        return IRRATIONAL
-    # at the mirror x = fold * den - pos, past I_{0/1}: the last start <= x
-    # is at most fold - q, and below it when that start is past x
-    i = bisect_right(starts, fold - q) - 1
-    off = (fold - starts[i]) * den - pos  # x - starts[i] * den
+    mirrored = q >= mid
+    # the last start <= x is at most q; at the mirror x = fold * den - pos,
+    # past I_{0/1}, at most fold - q, and below it when that start is past x
+    x = fold * den - pos if mirrored else pos
+    i = bisect_right(starts, fold - q if mirrored else q) - 1
+    off = x - starts[i] * den
     if off < 0:
         i -= 1
-        off = (fold - starts[i]) * den - pos
+        off = x - starts[i] * den
     b = dens[i]
     width = widths[b] * den
     if off <= width:
-        return b - nums[i], b, width - off, width
-    # both bands take the width of label i + 1; after 0/1, only the next one
-    band = widths[dens[i + 1]] * den
+        return (b - nums[i], b, width - off, width) if mirrored else (nums[i], b, off, width)
+    # guard band: within band/B^2 of this interval's end or the next start
+    # (none at B = 1, where the first band holds the gap).  At the mirror both
+    # take label i + 1's width, and after 0/1, the wrap's mirror, only the second
+    band = widths[dens[i + 1]] * den if mirrored else width
     sq = max_denominator * max_denominator
-    if (pos - (fold - starts[i + 1]) * den) * sq < band or (i and (off - width) * sq < band):
+    if (i or not mirrored) and (off - width) * sq < band or (starts[i + 1] * den - x) * sq < band:
         return Unresolved(max_denominator)
     return IRRATIONAL
 
@@ -248,60 +244,30 @@ def _start(lay: _Layout, p: int, q: int) -> int:
     return lay.starts[_label_index(lay, p, q)]
 
 
-@lru_cache(maxsize=64)
-def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
-    """The least j whose sample j/grid is unresolved at precision B, or None.
+def _band_samples(lay: _Layout, grid: int, max_denominator: int, base: int, mirrored: bool):
+    """The band samples k of the forward walk (base 0, k = j) or of the
+    walk at the mirrors (base D * grid, k = grid - j), in increasing k:
+    sample k sits at base + k * total, positions scaled by D * grid.
 
-    `_locate`'s rule, applied to runs of samples.  Arc positions are scaled
-    by D * grid, so sample j sits at j * total.  The walk visits only the
-    intervals and gaps that hold samples.  Every sample inside an interval
-    resolves, so it jumps to the first sample past the interval's end.  That
-    sample is the only one that can lie in the band past the end.  Both
-    bands are w/B^2 wide, so a band before the next start that held two
-    samples would be wider than their spacing, and the band past the end
-    would hold that first sample.  So the band before the next start is
-    left to test only at the gap's last sample.
+    `_locate`'s rule, applied to runs of samples, up to I_{1/2}.  Every
+    sample inside an interval resolves, so the walk jumps to the first
+    sample past an interval's end, the only one that can lie in the band
+    past the end: both bands of a gap are equally wide, so a band before
+    the next start holding two samples would be wider than their spacing.
+    So only a gap's first and last samples are tested, and the forward
+    walk's first yield is its least band sample, the mirrored walk's last
+    its largest.  No sample is yielded twice: the gap after a/b, before
+    c/d, is 1/(bd) long, at least twice w/B^2 for either width.
 
-    The walk stops at I_{1/2}.  The samples past it are walked at their
-    mirrors D * grid + k * total, k = grid - j, in increasing k, with the
-    mirrored bands; the largest k hit names the least j.  There the band
-    next to the following start is tested first, at the gap's last sample,
-    since it holds the largest k of its gap if either band holds one.
-
-    At B = 1 there is no walk.  The only gap is (D, 2D), after I_{0/1},
-    and its band past the end of I_{0/1}, of width D / 1^2, covers all of
-    it.  So the least unresolved sample is the first past D: grid // 2 + 1.
+    At the mirrors there is no band past I_{0/1}.  It would be D / B^5
+    wide and hold a sample only if grid > L_B * B^5, which MAX_GRID allows
+    for B <= 7 alone; there the forward walk always yields first, so the
+    missing band never decides `_first_unresolved`.
     """
-    if max_denominator == 1:
-        return grid // 2 + 1
-    lay = _layout(max_denominator)
     starts, dens, widths, total = lay.starts, lay.dens, lay.widths, lay.total
     sq = max_denominator * max_denominator
     last = len(starts) - 1
-    i = j = 0
-    while j < grid:
-        pos = j * total
-        i = bisect_right(starts, pos // grid, i) - 1
-        w = widths[dens[i]] * grid
-        end = starts[i] * grid + w
-        if pos <= end:
-            j = end // total + 1
-            pos = j * total
-        if i == last:  # past I_{1/2}: the mirrored walk below
-            break
-        # j is the least sample past the end of I_i; the gap runs to nxt
-        nxt = starts[i + 1] * grid
-        if pos >= nxt:
-            continue
-        if (pos - end) * sq < w:
-            return j
-        after = -(-nxt // total)  # the first sample at or past nxt
-        if (nxt - (after - 1) * total) * sq < w:
-            return after - 1
-        j = after
-    base = lay.scale * grid  # the end of I_{0/1}
-    hit = None
-    i, k = 0, 1
+    i = k = 0
     while True:
         x = base + k * total
         i = bisect_right(starts, x // grid, i) - 1
@@ -310,19 +276,38 @@ def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
         if x <= end:
             k = (end - base) // total + 1
             x = base + k * total
-        if i == last:  # past I_{1/2}, that is, back before its middle
-            break
+        if i == last:  # at I_{1/2}: the other walk covers what lies past it
+            return
+        # k is the least sample past the end of I_i; the gap runs to nxt
         nxt = starts[i + 1] * grid
         if x >= nxt:
             continue
-        band = widths[dens[i + 1]] * grid
+        band = widths[dens[i + 1]] * grid if mirrored else w
         after = -((base - nxt) // total)  # the first k at or past nxt
+        if (i or not mirrored) and (x - end) * sq < band:
+            yield k
         if (nxt - base - (after - 1) * total) * sq < band:
-            hit = after - 1
-        elif i and (x - end) * sq < band:
-            hit = k
+            yield after - 1
         k = after
-    return None if hit is None else grid - hit
+
+
+@lru_cache(maxsize=64)
+def _first_unresolved(grid: int, max_denominator: int) -> Optional[int]:
+    """The least j whose sample j/grid is unresolved at precision B, or None:
+    the forward walk's first band sample, else grid - k for the last band
+    sample k of the walk at the mirrors, the samples past I_{1/2}'s middle.
+
+    At B = 1 there is no walk.  The only gap is (D, 2D), after I_{0/1},
+    and its band past the end of I_{0/1}, of width D / 1^2, covers all of
+    it.  So the least unresolved sample is the first past D: grid // 2 + 1.
+    """
+    if max_denominator == 1:
+        return grid // 2 + 1
+    lay = _layout(max_denominator)
+    for j in _band_samples(lay, grid, max_denominator, 0, False):
+        return j
+    k = max(_band_samples(lay, grid, max_denominator, lay.scale * grid, True), default=None)
+    return None if k is None else grid - k
 
 
 def _inside(s: int, w: int, total: int) -> range:

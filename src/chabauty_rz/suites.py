@@ -270,10 +270,8 @@ def _suite_charts(rng: random.Random, budget: int) -> List[CaseResult]:
 
 def fibonacci_ratio(k: int) -> Fraction:
     """Largest-denominator golden-ratio convergent F_i/F_{i+1} with F_{i+1} <= max(k, 2)."""
-    a, b = 1, 2
-    while b * 1 <= max(k, 2):
-        if a + b > max(k, 2):
-            break
+    a, b, m = 1, 2, max(k, 2)
+    while a + b <= m:
         a, b = b, a + b
     return Fraction(a, b)
 

@@ -30,6 +30,7 @@ from chabauty_rz.denjoy import (
     MAX_GRID,
     MAX_HELD_LABELS,
     MAX_PRECISION,
+    _band_samples,
     _first_unresolved,
     _inside,
     _label_index,
@@ -393,6 +394,18 @@ class TestGluing:
         assert Interval(0.5, 0.5) == Interval(F(1, 2), F(1, 2))
         assert glue_boundary(1, Interval(0.5, 0.5)) == OnCircle(2, F(0))
 
+    def test_labels_and_lambdas_out_of_range_are_refused(self):
+        with pytest.raises(InvalidParameter, match=r"^interval label must lie in \[0, 1\)$"):
+            glue_boundary(1, Interval(F(3, 2), F(1, 2)))
+        for label in (F(-1, 2), F(1), 1):
+            with pytest.raises(InvalidParameter, match="interval label"):
+                Interval(label, F(1, 2))
+        for lam in (F(-1), F(-1, 10**9), F(3, 2)):
+            with pytest.raises(InvalidParameter, match=r"^lambda must lie in \[0, 1\]$"):
+                Interval(F(1, 2), lam)
+        assert Interval(0, 0) == Interval(F(0), F(0))
+        assert Interval(F(2, 3), 1).lam == 1
+
     def test_what_is_not_a_coordinate_is_refused(self):
         with pytest.raises(InvalidParameter, match=r"^not a blow-up coordinate: 'x'$"):
             glue_boundary(1, "x")
@@ -512,6 +525,35 @@ class TestKernelAgainstLoops:
         # a sample in the left band is never the least unless it is the first
         assert bands["left", True] and bands["right", False]
         assert not bands["left", False]
+
+    def test_band_samples_are_unresolved(self):
+        # sample k of the forward walk is j = k, of the walk at the mirrors
+        # j = grid - k; each walk yields in increasing k
+        rng = random.Random(23)
+        yielded = 0
+        for _ in range(400):
+            grid, B = rng.randint(8, 6000), rng.randint(2, 120)
+            lay = _layout(B)
+            for base, mirrored in ((0, False), (lay.scale * grid, True)):
+                ks = list(_band_samples(lay, grid, B, base, mirrored))
+                assert ks == sorted(set(ks))
+                for k in ks:
+                    j = grid - k if mirrored else k
+                    assert 0 <= j < grid
+                    assert isinstance(_locate(j, grid, B), Unresolved), (grid, B, k, mirrored)
+                yielded += len(ks)
+        assert yielded > 500
+
+    def test_no_band_past_i_0_at_the_mirrors(self):
+        # at the mirrors the gap after I_{0/1} is the wrap's mirror, and the
+        # wrap has no band before L_B; k = 1 lies within w/B^2 of I_{0/1}'s
+        # mirrored end, w the width of the label after it, but j = 99 is irrational
+        grid, B = 100, 2
+        lay = _layout(B)
+        assert 1 * lay.total * B * B < lay.widths[lay.dens[1]] * grid
+        assert _locate(99, grid, B) is IRRATIONAL
+        assert list(_band_samples(lay, grid, B, lay.scale * grid, True)) == [23]
+        assert isinstance(_locate(grid - 23, grid, B), Unresolved)
 
     def test_stage_one_at_precision_one(self):
         # the band past I_{0/1} covers the one gap: the first sample past D
