@@ -122,6 +122,8 @@ def chart_psi_II_n(n: int, p: EarringPoint) -> ClosedSubgroup:
     n = at_least(n, "n", 1)
     if isinstance(p, Basepoint):
         return TypeI(Fraction(0))
+    if not isinstance(p, OnCircle):
+        raise InvalidParameter(f"not an earring point: {p!r}")
     return TypeII(Fraction(p.circle * p.t.numerator, p.t.denominator), p.circle * n)
 
 
@@ -138,6 +140,8 @@ def chart_psi_II_n_inverse(n: int, H: ClosedSubgroup) -> EarringPoint:
 
 def chart_psi_III_n(n: int, c: ConePoint) -> ClosedSubgroup:
     """Interior cone coordinate -> lattice family; apex -> R x nZ."""
+    if not isinstance(c, ConePoint):
+        raise InvalidParameter(f"not a cone point: {c!r}")
     if c.k != n:
         raise InvalidParameter("cone index does not match the chart level")
     if c.alpha is INF:
@@ -164,7 +168,7 @@ def subgroup_to_model(H: ClosedSubgroup) -> ModelPoint:
         return chart_psi_II_n_inverse(1, H)
     if isinstance(H, (TypeIII, TypeIV)):
         return chart_psi_III_n_inverse(H.n, H)
-    raise TypeError(f"not a subgroup value: {H!r}")
+    raise InvalidParameter(f"not a subgroup value: {H!r}")
 
 
 def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
@@ -178,7 +182,7 @@ def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
         return chart_psi_II_n(1, m)
     if isinstance(m, ConePoint):
         return chart_psi_III_n(m.k, m)
-    raise TypeError(f"not a model point: {m!r}")
+    raise InvalidParameter(f"not a model point: {m!r}")
 
 
 # -- winding of cone boundaries over earring circles -------------------------

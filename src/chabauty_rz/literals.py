@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from functools import cache
 
-from .rationals import INF, fmt_record
+from .rationals import INF, InvalidParameter, fmt_record
 from .subgroups import (
     ClosedSubgroup,
     TypeI,
@@ -149,6 +149,8 @@ def _subgroup(name: str, values) -> ClosedSubgroup:
 
 def parse_subgroup(text: str) -> ClosedSubgroup:
     """Parse a subgroup literal into its canonical value."""
+    if not isinstance(text, str):
+        raise InvalidParameter(f"a literal is a str, not {type(text).__name__}")
     body = text.lstrip()
     for name in _NAMES:
         if body.startswith(name):
@@ -175,5 +177,5 @@ def format_subgroup(H: ClosedSubgroup) -> str:
     """Canonical literal; parse_subgroup(format_subgroup(H)) == H."""
     name = _FAMILIES.get(type(H))
     if name is None:
-        raise TypeError(f"not a subgroup value: {H!r}")
+        raise InvalidParameter(f"not a subgroup value: {H!r}")
     return fmt_record(name, H)

@@ -444,6 +444,10 @@ def verify_limit(
     tail: int,
 ) -> LimitReport:
     """Check that the last ``tail`` members of ``seq`` are within tol of the limit."""
+    try:
+        seq = tuple(seq)
+    except TypeError:
+        raise InvalidSequence(f"a sequence of subgroups, not {type(seq).__name__}") from None
     if not seq:
         raise InvalidSequence("sequence must be nonempty")
     tail = as_int(tail, "tail")

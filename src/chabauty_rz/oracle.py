@@ -18,14 +18,13 @@ from itertools import chain, repeat
 from math import floor, lcm
 from typing import Optional, Sequence, Tuple
 
-from .rationals import as_fraction, as_int
+from .rationals import as_fraction, as_int, as_points
 from .subgroups import BallElements, InvalidParameter, check_ball_size
 
 
 def _scaled_rows(gens: Sequence[Tuple]):
     """Nonzero generators as integer rows (x*d, level) plus the lcm d."""
-    pts = [(as_fraction(x), as_int(m, "level")) for x, m in gens]
-    pts = [(x, m) for x, m in pts if x != 0 or m != 0]
+    pts = [(x, m) for x, m in as_points(gens) if x != 0 or m != 0]
     if not pts:
         return [], 1
     d = lcm(*(x.denominator for x, _ in pts))

@@ -3,8 +3,8 @@
 Subgroup parameters live in [0, oo]; everything else is a plain Fraction.
 The sentinel compares greater than every rational and equal only to itself,
 which is all the ordering the rest of the code needs.  ``Record`` is the
-base of the package's immutable value types; ``as_int`` and
-``as_fraction`` read every integer and rational input.
+base of the package's immutable value types; ``as_int``, ``as_fraction``
+and ``as_point`` read every integer, rational and point input.
 """
 
 from __future__ import annotations
@@ -83,6 +83,25 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidParameter(f"{reprlib.repr(x)} is not a rational number") from None
+
+
+def as_point(p) -> tuple:
+    """A point (x, level): x read by ``as_fraction``, the level by ``as_int``;
+    what is not a pair is refused with ``InvalidParameter``."""
+    try:
+        x, m = p
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"a point is a pair (x, level), not {reprlib.repr(p)}") from None
+    return as_fraction(x), as_int(m, "level")
+
+
+def as_points(points) -> list:
+    """Each point of the iterable ``points``, read by ``as_point``."""
+    try:
+        return list(map(as_point, points))
+    except TypeError:  # ``as_point`` raises only InvalidParameter
+        raise InvalidParameter(
+            f"points must be an iterable of pairs (x, level), not {reprlib.repr(points)}") from None
 
 
 def fmt_q(x: ExtQ) -> str:

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from math import floor, gcd, lcm
 from typing import NamedTuple, Sequence, Tuple, Union
 
-from .rationals import INF, InvalidParameter, Record, as_fraction, as_int, at_least
+from .rationals import INF, InvalidParameter, Record, as_fraction, as_int, as_point, as_points, at_least
 
 
 class ZeroPoint(InvalidParameter):
@@ -156,7 +156,7 @@ def classify_from_generators(gens: Sequence[Tuple]) -> ClosedSubgroup:
     are reduced to a two-element basis (g, 0), (q, n) of the lattice they
     span in Z^2, and ``from_levels`` reads the family off that basis.
     """
-    pts = [(as_fraction(x), as_int(m, "level")) for x, m in gens]
+    pts = as_points(gens)
     if not pts:
         return TypeI(Fraction(0))
     d = lcm(*(x.denominator for x, _ in pts))
@@ -236,7 +236,7 @@ def level_set(H: ClosedSubgroup, m: int):
         return ((q * H.beta) / H.alpha, 1 / H.alpha)
     if isinstance(H, TypeIV):
         return LINE if m % H.n == 0 else None
-    raise TypeError(f"not a subgroup value: {H!r}")
+    raise InvalidParameter(f"not a subgroup value: {H!r}")
 
 
 class IntLevels(NamedTuple):
@@ -306,7 +306,7 @@ def int_levels(H: ClosedSubgroup) -> IntLevels:
         return IntLevels(D, D // an * ad, D // sd * sn, H.n, False)
     if isinstance(H, TypeIV):
         return IntLevels(1, 0, 0, H.n, True)
-    raise TypeError(f"not a subgroup value: {H!r}")
+    raise InvalidParameter(f"not a subgroup value: {H!r}")
 
 
 def from_levels(L: IntLevels) -> ClosedSubgroup:
@@ -323,7 +323,7 @@ def from_levels(L: IntLevels) -> ClosedSubgroup:
 
 def membership(H: ClosedSubgroup, p: Tuple) -> bool:
     """Exact membership test for a rational point."""
-    x, m = as_fraction(p[0]), as_int(p[1], "level")
+    x, m = as_point(p)
     ls = level_set(H, m)
     if ls is None:
         return False
@@ -384,9 +384,11 @@ def _coset_distance(x: Fraction, offset: Fraction, spacing) -> Fraction:
 
 def distance_point_to_subgroup(p: Tuple, H: ClosedSubgroup) -> Fraction:
     """Exact delta-distance from a rational point to the closed set H."""
-    x, m = as_fraction(p[0]), as_int(p[1], "level")
+    x, m = as_point(p)
     if isinstance(H, TypeI):
         return _distance_via_level(x, m, H, 0)
+    if not isinstance(H, (TypeII, TypeIII, TypeIV)):
+        raise InvalidParameter(f"not a subgroup value: {H!r}")
     nearest = round(Fraction(m, H.n)) * H.n
     best = _distance_via_level(x, m, H, nearest)
     # Any closer level must satisfy |m - lvl| < best.

@@ -406,7 +406,7 @@ MAX_BUDGET = 10_000
 
 def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
     """Run one named suite deterministically under the given seed."""
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:  # by ==, so an unhashable name is refused too
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(_SUITES)}")
     seed, budget = as_int(seed, "seed"), as_int(budget, "budget")
     if budget <= 0:

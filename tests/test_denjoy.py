@@ -1,13 +1,10 @@
 import random
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
-from functools import lru_cache
-from itertools import accumulate
-from math import atan, gcd, lcm, pi
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
@@ -22,6 +19,7 @@ from chabauty_rz import (
     blowup_total_length,
     denjoy_xi,
     glue_boundary,
+    totient,
     winding_count,
     winding_count_sampled,
 )
@@ -41,198 +39,24 @@ from chabauty_rz.denjoy import (
     blowup_interval_start,
 )
 
-
-# -- reference blow-up, in Fractions, from the definition ----------------------
-
-@lru_cache(maxsize=None)
-def ref_layout(B):
-    """Labels a/b in [0, 1) with b <= B, their widths 1/b^3, Psi_B and L_B."""
-    labels = sorted({F(a, b) for b in range(1, B + 1) for a in range(b)})
-    widths = [F(1, s.denominator ** 3) for s in labels]
-    below = [F(0)] + list(accumulate(widths))  # widths of the labels below
-    starts = [s + w for s, w in zip(labels, below)]
-    return labels, widths, starts, 1 + below[-1]
-
-
-def ref_xi(u, B):
-    labels, widths, starts, total = ref_layout(B)
-    pos = u * total
-    i = max(j for j, s in enumerate(starts) if s <= pos)
-    end = starts[i] + widths[i]
-    if pos <= end:
-        return Interval(labels[i], (pos - starts[i]) / widths[i])
-    guard = widths[i] / B ** 2
-    if pos - end < guard or (i + 1 < len(starts) and starts[i + 1] - pos < guard):
-        return Unresolved(B)
-    return IRRATIONAL
-
-
-def ref_wind(k, m, grid, B):
-    """The sampled walk, one denjoy_xi and one glue_boundary per sample."""
-    angles = []
-    for j in range(grid):
-        coord = denjoy_xi(F(j, grid), B)
-        if isinstance(coord, Unresolved):
-            raise UnresolvedSample(f"grid point {j}/{grid} unresolved at precision {B}")
-        p = glue_boundary(k, coord)
-        on_m = isinstance(p, OnCircle) and p.circle == m
-        angles.append(2 * atan(p.t) if on_m else pi)
-    progress = 0.0
-    for j in range(grid):
-        d = angles[(j + 1) % grid] - angles[j]
-        while d <= -pi:
-            d += 2 * pi
-        while d > pi:
-            d -= 2 * pi
-        progress += d
-    return round(progress / (2 * pi))
-
-
-# -- reference kernel pieces: the plain loops the blow-up kernel replaced ------
-
-def ref_farey_layout(B):
-    """The layout from the full Farey next-term recurrence, as a tuple."""
-    scale = lcm(*range(1, B + 1)) ** 3
-    widths = [0] + [scale // b**3 for b in range(1, B + 1)]
-    nums, dens, starts = [], [], []
-    acc = 0
-    a, b, c, d = 0, 1, 1, B
-    while a < b:  # stops at the term 1/1
-        nums.append(a)
-        dens.append(b)
-        starts.append(a * scale // b + acc)
-        acc += widths[b]
-        k = (B + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return nums, dens, starts, scale + acc, scale, widths
-
-
-def full_layout(B):
-    """The half layout expanded to every label by the reflection: the
-    mirror of I_{a/b}, 0 < a/b < 1/2, is I_{(b-a)/b} at fold - S - w_b."""
-    lay = _layout(B)
-    nums, dens, starts = list(lay.nums), list(lay.dens), list(lay.starts)
-    for i in range(len(lay.nums) - 2, 0, -1):  # every label in (0, 1/2), decreasing
-        b = lay.dens[i]
-        nums.append(b - lay.nums[i])
-        dens.append(b)
-        starts.append(lay.fold - lay.starts[i] - lay.widths[b])
-    return nums, dens, starts, lay.total, lay.scale, lay.widths
-
-
-def ref_first_unresolved(grid, B):
-    """Stage one sample by sample: `_locate` at every grid point."""
-    for j in range(grid):
-        if isinstance(_locate(j, grid, B), Unresolved):
-            return j
-    return None
-
-
-def ref_progress(b, grid, B):
-    """Stage two as a dict of angles by sample and a sorted walk of steps,
-    summed in floats."""
-    _, dens, starts, total, _, widths = full_layout(B)
-    w = widths[b] * grid
-    angles = {}
-    for den, start in zip(dens, starts):
-        if den == b:
-            s = start * grid
-            for j in range(s // total + 1, (s + w - 1) // total + 1):
-                off = j * total - s
-                angles[j] = 2 * atan((2 * off - w) * w / (off * (w - off)))
-    progress = 0.0
-    for j in sorted({i - 1 for i in angles} | angles.keys()):
-        d = angles.get(j + 1, pi) - angles.get(j, pi)
-        while d <= -pi:
-            d += 2 * pi
-        while d > pi:
-            d -= 2 * pi
-        progress += d
-    return progress
-
-
-def gap_band(grid, B, j):
-    """Where an unresolved sample j/grid lies in its gap: 'left' is the band
-    past the end of the interval before it, 'right' the band before the
-    next start.  Also whether j is the gap's first sample."""
-    _, dens, starts, total, _, widths = full_layout(B)
-    pos = j * total
-    i = bisect_right(starts, pos // grid) - 1
-    w = widths[dens[i]] * grid
-    end = starts[i] * grid + w
-    side = "left" if (pos - end) * B * B < w else "right"
-    return side, j == end // total + 1
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-@st.composite
-def circle_points(draw):
-    # small denominators land exactly on guard bands and interval ends;
-    # 48-bit ones are generic
-    den = draw(st.one_of(st.integers(1, 64), st.integers(2 ** 47, 2 ** 48 - 1)))
-    return F(draw(st.integers(0, den - 1)), den)
-
-
-def edge_points(B, i):
-    """Points of [0, 1) whose arc positions sit on the edges of I_i's bands."""
-    _, widths, starts, total = ref_layout(B)
-    guard = widths[i] / B ** 2
-    end = starts[i] + widths[i]
-    positions = [starts[i], end, end + guard / 2, end + guard]
-    if i + 1 < len(starts):
-        positions += [starts[i + 1] - guard / 2, starts[i + 1] - guard]
-    return [pos / total for pos in positions if pos < total]
+from references import ENTRIES, MIRRORED_KEYS, first_unresolved, outcome
+from references.blowup import full_layout, gap_band, mirrored_points, ref_layout, ref_wind
 
 
 class TestAgainstReference:
-    @settings(max_examples=300, deadline=None)
-    @given(circle_points(), st.integers(1, 40))
-    @example(F(9, 17), 2)  # guard band past I_0
-    @example(F(25, 34), 2)  # middle of I_{1/2}
-    def test_location(self, u, B):
-        assert denjoy_xi(u, B) == ref_xi(u, B)
+    test_location = ENTRIES["xi"].bind()
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 40), st.data())
-    def test_layout_and_band_edges(self, B, data):
-        labels, _, starts, total = ref_layout(B)
-        assert blowup_total_length(B) == total
-        i = data.draw(st.integers(0, len(labels) - 1))
-        assert blowup_interval_start(labels[i], B) == starts[i]
-        for v in edge_points(B, i):
-            assert denjoy_xi(v, B) == ref_xi(v, B)
+    test_layout_and_band_edges = ENTRIES["layout"].bind()
 
-    @pytest.mark.parametrize("B", [2, 3, 5, 8, 13])
+    @ENTRIES["xi-mirrored"].bind
     def test_reflected_positions_and_the_wrap(self, B):
-        # every band edge of every gap past the middle of I_{1/2}, where the
-        # position is answered at its mirror, and the wrap gap before L_B
-        labels, widths, starts, total = ref_layout(B)
-        fold = 1 + total
-        guard = widths[-1] / B ** 2
-        wrap = [total - guard, total - guard / 2, total - guard / 10 ** 6]
-        points = [pos / total for pos in wrap]
-        for i in range(len(labels)):
-            points += [u for u in edge_points(B, i) if 2 * u * total > fold]
+        labels = ref_layout(B)[0]
+        points = mirrored_points(B)
         assert len(points) > 4 * (len(labels) // 2)
-        for u in points:
-            assert denjoy_xi(u, B) == ref_xi(u, B)
         # the mirror of the wrap has no band before L_B: irrational there
         assert denjoy_xi(points[1], B) is IRRATIONAL
 
-    # at B = 1 and 2 every grid from 8 to 200 has an unresolved sample, so
-    # those draws compare the UnresolvedSample message; B = 8 resolves some
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 12), st.integers(8, 200),
-           st.sampled_from([1, 2, 8, 8]))
-    def test_sampled_winding(self, k, m, grid, B):
-        assert outcome(winding_count_sampled, k, m, grid, B) == outcome(
-            ref_wind, k, m, grid, B)
+    test_sampled_winding = ENTRIES["wind-sampled"].bind()
 
 
 class TestLayoutShape:
@@ -477,48 +301,28 @@ class TestTwoStages:
             assert outcome(winding_count_sampled, k, m, 200, 8) == want
             assert outcome(ref_wind, k, m, 200, 8) == want
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(8, 200), st.sampled_from([1, 2, 8, 13, 20]),
-           st.lists(st.tuples(st.integers(1, 4), st.integers(1, 12)),
-                    min_size=3, max_size=6))
-    @example(200, 20, [(1, 1), (2, 2), (1, 3)])
-    def test_calls_in_sequence(self, grid, B, pairs):
-        for k, m in pairs:
-            assert outcome(winding_count_sampled, k, m, grid, B) == outcome(
-                ref_wind, k, m, grid, B)
-
-
-BENCH_KEYS = [(4096, 64), (4096, 128), (4096, 256)]
-_draw = random.Random(16)
-DRAWN_KEYS = [(_draw.randint(8, 6000), _draw.randint(12, 120)) for _ in range(6)]
-
-
-#: Keys whose least unresolved sample lies past the middle of I_{1/2}, in
-#: the half of the walk that runs over the mirrors.
-MIRRORED_KEYS = {(4096, 62): 3039, (4096, 113): 3023, (4096, 156): 3479}
+    test_calls_in_sequence = ENTRIES["wind-sampled-in-sequence"].bind()
 
 
 class TestKernelAgainstLoops:
     """The blow-up kernel, which works by runs of samples over half the
     layout, against the plain loops it replaced."""
 
-    @pytest.mark.parametrize("B", list(range(1, 65)) + [128, 255, 256, 512])
+    @ENTRIES["farey-layout"].bind
     def test_mirrored_layout(self, B):
-        assert full_layout(B) == ref_farey_layout(B)
+        """The half layout and its mirror against the full Farey recurrence."""
 
+    @ENTRIES["stage-one"].bind
     def test_stage_one(self):
-        rng = random.Random(15)
-        drawn = {(rng.randint(8, 6000), rng.randint(1, 120)) for _ in range(1550)}
-        keys = BENCH_KEYS + list(MIRRORED_KEYS) + sorted(drawn, key=lambda key: key[1])
+        keys = ENTRIES["stage-one"].pins
         assert len(keys) >= 1500
         for (grid, B), j in MIRRORED_KEYS.items():
             lay = _layout(B)
             assert 2 * j * lay.total > lay.fold * grid  # past the middle
-            assert _first_unresolved.__wrapped__(grid, B) == j
+            assert first_unresolved(grid, B) == j
         bands = Counter()
         for grid, B in keys:
-            j = _first_unresolved.__wrapped__(grid, B)  # not the cached answer
-            assert j == ref_first_unresolved(grid, B)
+            j = first_unresolved(grid, B)
             if j is not None:
                 bands[gap_band(grid, B, j)] += 1
         # both bands answer, the right one also past the gap's first sample;
@@ -555,30 +359,22 @@ class TestKernelAgainstLoops:
         assert list(_band_samples(lay, grid, B, lay.scale * grid, True)) == [23]
         assert isinstance(_locate(grid - 23, grid, B), Unresolved)
 
+    @ENTRIES["stage-one-at-precision-one"].bind
     def test_stage_one_at_precision_one(self):
         # the band past I_{0/1} covers the one gap: the first sample past D
         for grid in range(8, 4097):
-            j = _first_unresolved.__wrapped__(grid, 1)
-            assert j == ref_first_unresolved(grid, 1) == grid // 2 + 1
+            assert first_unresolved(grid, 1) == grid // 2 + 1
 
-    @pytest.mark.parametrize("grid, B", BENCH_KEYS + DRAWN_KEYS)
+    @ENTRIES["stage-two"].bind
     def test_stage_two(self, grid, B):
-        bs = {m // k for k in range(1, 7) for m in range(1, 13) if m % k == 0}
-        for b in sorted(b for b in bs if b <= B):
-            assert _winding(b, grid, B) == round(ref_progress(b, grid, B) / (2 * pi))
+        """Each circle's turns against the float walk of its angles."""
 
+    @ENTRIES["stage-two-coarse"].bind
     def test_coarse_grids(self):
         # steps longer than pi are common on coarse grids, so many counts
         # differ from totient(b), the limit of fine grids
-        rng = random.Random(19)
-        differ = 0
-        for _ in range(150):
-            grid, B = rng.randint(8, 300), rng.randint(1, 60)
-            for b in rng.sample(range(1, B + 1), min(B, 4)):
-                got = _winding(b, grid, B)
-                assert got == round(ref_progress(b, grid, B) / (2 * pi)), (grid, B, b)
-                differ += got != sum(gcd(a, b) == 1 for a in range(b))
-        assert differ > 200
+        keys = ENTRIES["stage-two-coarse"].pins
+        assert sum(_winding(*key) != totient(key[0]) for key in keys) > 200
 
 
 class TestTurns:

@@ -3,8 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from chabauty_rz import (
     INF,
@@ -19,8 +18,8 @@ from chabauty_rz import (
 )
 from chabauty_rz.literals import parse_rational
 
-import literal_reference as reference
-from strategies import literals, mutated, rational_text, subgroups_st
+from references import ENTRIES, literal_reference as reference
+from strategies import subgroups_st
 
 
 class TestParsing:
@@ -131,109 +130,12 @@ class TestFormatting:
         assert parse_subgroup(format_subgroup(H)) == H
 
 
-# -- the compiled patterns against the character-at-a-time reference ---------
-
-#: Characters ``str.isspace`` accepts, ASCII and not.
-SPACES = [" ", "\t", "\n", "\x0b", "\x1c", "\xa0", "\u2003", "\u2028", "\u3000"]
-#: Decimal digits of other scripts, which ``int()`` reads.
-FOREIGN_DIGITS = ["\u0663", "\uff17", "\u0967"]
-
-space = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
-#: Letters, digits or "_" glued to a name, keyword or "inf"; only "_" and
-#: the empty string leave the literal valid.
-glue = st.sampled_from([""] * 12 + ["_", "x", "1", "\u00e9"])
-#: A comma between the points of ``gen[...]``, at times left out.
-comma = st.sampled_from([","] * 7 + [""])
-
-
-@st.composite
-def integer_text(draw):
-    sign = draw(st.sampled_from(["", "", "+", "-"]))
-    zeros = "0" * draw(st.integers(0, 2))
-    kind = draw(st.integers(0, 9))
-    if kind == 0:  # at and past the interpreter's 4300-digit limit
-        digits = "1" * draw(st.sampled_from([4300, 4301]))
-    elif kind == 1:
-        digits = draw(st.sampled_from(FOREIGN_DIGITS))
-    elif kind == 2:
-        digits = "0"
-    else:
-        digits = str(draw(st.integers(0, 10**6)))
-    return sign + zeros + digits
-
-
-@st.composite
-def rational_text_spaced(draw):
-    num = draw(integer_text())
-    if draw(st.booleans()):
-        return num + draw(space) + "/" + draw(space) + draw(integer_text())
-    return num
-
-
-@st.composite
-def spaced_literals(draw):
-    """A literal as a list of tokens joined by drawn whitespace, with at
-    times a character glued to a name."""
-    fam = draw(st.sampled_from(["I", "II", "III", "IV", "gen"]))
-    tokens = [fam + draw(glue)]
-    if fam == "gen":
-        tokens.append("[")
-        for i in range(draw(st.integers(0, 3))):
-            tokens += ([draw(comma)] if i else []) + [
-                "(", draw(rational_text_spaced()), ",", draw(integer_text()), ")"]
-        tokens.append("]")
-    else:
-        fields = {"I": ["alpha"], "II": ["gamma", "n"], "III": ["alpha", "beta", "n"],
-                  "IV": ["n"]}[fam]
-        tokens.append("(")
-        for i, name in enumerate(fields):
-            if name == "n":
-                value = draw(integer_text())
-            elif fam == "I" and draw(st.booleans()):
-                value = "inf" + draw(glue)
-            else:
-                value = draw(rational_text_spaced())
-            tokens += ([","] if i else []) + [name + draw(glue), "=", value]
-        tokens.append(")")
-    return draw(space) + "".join(tok + draw(space) for tok in tokens)
-
-
-def outcome(parse, text):
-    """The value, or the error: for a ParseError its message and position."""
-    try:
-        return ("value", parse(text))
-    except ParseError as exc:
-        return ("ParseError", exc.message, exc.position)
-    except ValueError as exc:  # a domain error past the parse
-        return (type(exc).__name__, str(exc))
-
-
-def isdigit_only(text):
-    """Does ``text`` hold a character that ``str.isdigit`` accepts but
-    ``int()`` does not read?  On those the reference parser differs on
-    purpose (see ``literal_reference``)."""
-    return any(c.isdigit() and not c.isdecimal() for c in text)
-
-
 class TestAgainstReference:
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(spaced_literals(), mutated(spaced_literals()), mutated(literals()),
-                     st.text(max_size=20)))
-    @example("gen[ (1/2,0) (1/3,0) ]")
-    @example("I(alpha= 1/0)")
-    @example("II(gamma= 1/0,n=1)")
-    @example("IV(n=0)(")  # trailing input is found before the parameters are checked
-    def test_same_value_or_same_error(self, text):
-        assume(not isdigit_only(text))
-        assert outcome(parse_subgroup, text) == outcome(reference.parse_subgroup, text)
+    """The compiled patterns against the character-at-a-time reference."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.builds("{}{}".format, space, rational_text_spaced()),
-                     mutated(rational_text_spaced()), mutated(rational_text),
-                     st.text(max_size=10)))
-    def test_same_rational_or_same_error(self, text):
-        assume(not isdigit_only(text))
-        assert outcome(parse_rational, text) == outcome(reference.parse_rational, text)
+    test_same_value_or_same_error = ENTRIES["parse-subgroup"].bind()
+
+    test_same_rational_or_same_error = ENTRIES["parse-rational"].bind()
 
     def test_the_reference_reads_more_digits(self):
         # The one deliberate difference, pinned on both sides.

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
@@ -18,10 +18,8 @@ from chabauty_rz import (
     TypeIV,
     classify_from_generators,
     chabauty_distance,
-    distance_witness,
     hausdorff_inclusion_ok,
     membership,
-    parse_subgroup,
     subgroup_subset,
     verify_limit,
 )
@@ -29,16 +27,14 @@ from chabauty_rz import (
 from chabauty_rz.metric import _common_levels
 from chabauty_rz.subgroups import (
     LINE,
-    distance_point_to_subgroup,
     from_levels,
     int_levels,
     level_set,
 )
 from chabauty_rz.suites import run_suite
 
+from references import ENTRIES, TOL
 from strategies import generator_lists_st, subgroups_st
-
-TOL = F(1, 1000)
 
 
 @st.composite
@@ -69,85 +65,18 @@ class TestHandDistances:
         assert br.hi > 0 and br != (0, 0)
 
 
-#: Pairs with their exact distances: close lattices, a sheared pair, strips.
-EXACT = [
-    ("I(alpha=10)", "I(alpha=11)", F(1, 22)),
-    ("I(alpha=1)", "I(alpha=2)", F(1, 2)),
-    ("III(alpha=20,beta=0,n=1)", "III(alpha=21,beta=0,n=1)", F(1, 42)),
-    ("I(alpha=1000)", "I(alpha=1001)", F(1, 2002)),
-    ("III(alpha=4,beta=1/3,n=1)", "III(alpha=5,beta=2/5,n=1)", F(37, 300)),
-    ("I(alpha=inf)", "IV(n=1)", F(1)),
-    # One point per level far from 0, dense lattices against sparse groups
-    # and a strip over a dense lattice: each answers in bounded work only
-    # through a bound on the levels (|x|, or half B's spacing) or the stop
-    # at 1.
-    ("II(gamma=10000000000,n=1)", "I(alpha=1)", F(1)),
-    ("II(gamma=-10000000000,n=3)", "I(alpha=7/3)", F(6, 7)),
-    ("III(alpha=1000000,beta=0,n=1)", "II(gamma=0,n=1)", F(1)),
-    ("III(alpha=100000,beta=0,n=1)", "II(gamma=1/3,n=1)", F(1)),
-    ("IV(n=1)", "III(alpha=10000000000,beta=0,n=1)", F(1, 20000000000)),
-    ("III(alpha=62/1128827,beta=0,n=58)", "III(alpha=4743898516,beta=0,n=58)", F(1)),
-    ("II(gamma=0,n=1)", "III(alpha=1000000000,beta=1/2,n=1)", F(1)),
-]
-
-
-def check_witness(H, K):
-    """Check ``distance_witness(H, K)`` against the Fraction oracle and
-    both sides; returns its value."""
-    w = distance_witness(H, K)
-    assert w.value == chabauty_distance(H, K, TOL).lo
-    assert distance_witness(K, H).value == w.value
-    p = w.point
-    if w.value == 0:
-        assert p is None and H == K
-        return w.value
-    assert membership(w.inner, p)
-    size = max(abs(p.x), abs(p.level))
-    assert min(1 / F(size), distance_point_to_subgroup(p, w.outer)) == w.value
-    return w.value
-
-
 class TestExactDistances:
-    @pytest.mark.parametrize("left,right,d", EXACT)
+    @ENTRIES["distance-exact"].bind
     def test_exact_value(self, left, right, d):
-        H, K = parse_subgroup(left), parse_subgroup(right)
-        assert chabauty_distance(H, K, TOL) == DistanceBracket(d, d)
-        assert chabauty_distance(K, H, TOL) == DistanceBracket(d, d)
+        """Both orders against the hand-computed distance."""
 
-    @pytest.mark.parametrize("left,right,d", EXACT)
+    @ENTRIES["witness-exact"].bind
     def test_witness_attains_distance(self, left, right, d):
-        H, K = parse_subgroup(left), parse_subgroup(right)
-        assert check_witness(H, K) == d
+        """The witness's value against the Fraction oracles' at its point."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(subgroups_st(), subgroups_st())
-    def test_witness_attains_distance_on_drawn_pairs(self, H, K):
-        check_witness(H, K)
+    test_witness_attains_distance_on_drawn_pairs = ENTRIES["witness"].bind()
 
-    @settings(max_examples=300, deadline=None)
-    @given(subgroups_st(), subgroups_st())
-    # Maximisers left of 0 on a level above 0:
-    @example(TypeIII(F(3, 4), F(4, 5), 1), TypeIII(F(2, 3), F(1, 2), 1))
-    @example(TypeIII(F(1, 9), F(1, 6), 3), TypeII(F(3, 2), 3))
-    # Maximiser on a level where the other group is empty:
-    @example(TypeII(F(1), 4), TypeIII(F(1, 8), F(6, 7), 1))
-    # Maximisers found by solving g*k = oB +- t - o (mod s) for a class:
-    @example(TypeI(F(7, 2)), TypeI(F(7, 9)))
-    @example(TypeIII(F(2, 3), F(0), 1), TypeIII(F(2), F(5, 7), 1))
-    # One point per level, far from 0: the level loop stops on |x|.
-    @example(TypeII(F(10**10), 1), TypeI(F(1)))
-    @example(TypeII(F(-10**10), 3), TypeI(F(7, 3)))
-    def test_agrees_with_inclusion_predicate(self, H, K):
-        # The predicate breaks exactly for eps <= d and holds above it.
-        br = chabauty_distance(H, K, TOL)
-        assert br.lo == br.hi
-        if br.lo > 0:
-            assert not (
-                hausdorff_inclusion_ok(H, K, br.lo)
-                and hausdorff_inclusion_ok(K, H, br.lo)
-            )
-        eps = br.hi + F(1, 10**9)
-        assert hausdorff_inclusion_ok(H, K, eps) and hausdorff_inclusion_ok(K, H, eps)
+    test_agrees_with_inclusion_predicate = ENTRIES["distance-inclusion"].bind()
 
     def test_distance_over_the_work_cap_raises(self):
         # A dense lattice against a sparse one: d is near 1 but not 1, and

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -22,7 +22,8 @@ from chabauty_rz import oracle
 from chabauty_rz.oracle import lattice_basis
 from chabauty_rz.subgroups import int_levels
 
-from balls import fraction_points, oracle_closure_ball_sweep
+from references import ENTRIES
+from references.balls import fraction_points, oracle_closure_ball_sweep
 from strategies import generator_lists_st
 
 
@@ -50,16 +51,7 @@ class TestSweepOracle:
 
 
 class TestLatticeOracle:
-    def test_matches_sweep_on_tame_inputs(self):
-        cases = [
-            [],
-            [(F(1, 2), 0), (F(1, 3), 0)],
-            [(F(3, 2), 2)],
-            [(F(1, 2), 2), (F(1, 3), 3)],
-            [(F(-2, 3), 1), (F(1, 2), -1)],
-        ]
-        for gens in cases:
-            assert oracle_closure_ball(gens, 3) == oracle_closure_ball_sweep(gens, 3)
+    test_matches_sweep_on_tame_inputs = ENTRIES["ball-sweep"].bind()
 
     def test_feasible_where_sweep_is_not(self):
         # minimal Bezout coefficients here are in the hundreds
@@ -110,40 +102,6 @@ class TestLatticeOracle:
             assert counts[-1] == ("points", len(ball.points))
 
 
-@pytest.fixture(scope="module")
-def sympy_hnf():
-    return pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
-
-
-def _sympy_basis(hnf, rows):
-    """(horiz, lev) read off sympy's Hermite normal form of the columns."""
-    from sympy import Matrix
-
-    H = hnf(Matrix([[p for p, _ in rows], [m for _, m in rows]]))
-    horiz, lev = None, None
-    for j in range(H.cols):
-        p, m = int(H[0, j]), int(H[1, j])
-        if m == 0:
-            horiz = abs(p)
-        else:
-            lev = (p, m) if m > 0 else (-p, -m)
-    return horiz, lev
-
-
-def _ball_from_basis(horiz, lev, d, r):
-    """Brute-force ball of the lattice Z(horiz, 0) + Z lev, scaled by 1/d."""
-    a, (q, n) = horiz or 0, lev or (0, 0)
-    # |i*a + j*q| <= r*d with |j| <= r and 0 <= q < a forces |i| <= r*d/a + r
-    bound = r * d // a + r + 1 if a else 0
-    points = set()
-    for j in range(-r, r + 1):
-        for i in range(-bound, bound + 1):
-            x, m = i * a + j * q, j * n
-            if abs(x) <= r * d and abs(m) <= r:
-                points.add(PointRZ(F(x, d), m))
-    return points
-
-
 class TestLatticeBasis:
     @pytest.mark.parametrize("rows, want", [
         ([(1, 1), (2, 2)], (None, (1, 1))),
@@ -156,19 +114,10 @@ class TestLatticeBasis:
     def test_known_bases(self, rows, want):
         assert lattice_basis(rows) == want
 
-    @settings(max_examples=300, deadline=None)
-    @given(generator_lists_st(), st.integers(1, 3))
-    def test_matches_sympy_hnf(self, sympy_hnf, gens, r):
-        rows = [(x, m) for x, m in gens if x or m]
-        if not rows:
-            return
-        d = lcm(*(x.denominator for x, _ in rows))
-        rows = [(int(x * d), m) for x, m in rows]
-        horiz, lev = _sympy_basis(sympy_hnf, rows)
-        assert lattice_basis(rows) == (horiz, lev)
-        assert fraction_points(oracle_closure_ball(gens, r)) == _ball_from_basis(
-            horiz, lev, d, r
-        )
+    @ENTRIES["hnf"].bind
+    def test_matches_sympy_hnf(self):
+        """The basis and the ball against sympy's Hermite normal form."""
+        pytest.importorskip("sympy.matrices.normalforms")
 
 
 class TestTotient:

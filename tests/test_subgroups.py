@@ -22,7 +22,6 @@ from chabauty_rz import (
     elements_in_ball,
     eta_cyclic,
     membership,
-    oracle_closure_ball,
 )
 from chabauty_rz import subgroups
 from chabauty_rz.subgroups import (
@@ -34,7 +33,8 @@ from chabauty_rz.subgroups import (
     level_set,
 )
 
-from balls import fraction_points
+from references import ENTRIES
+from references.balls import fraction_points
 from strategies import fractions_st, generator_lists_st, subgroups_st
 
 
@@ -89,11 +89,7 @@ class TestClassifier:
         H = classify_from_generators([(F(1, 7), 0)])
         assert H == TypeI(F(7))
 
-    @settings(max_examples=150, deadline=None)
-    @given(generator_lists_st())
-    def test_matches_oracle(self, gens):
-        H = classify_from_generators(gens)
-        assert elements_in_ball(H, 4) == oracle_closure_ball(gens, 4)
+    test_matches_oracle = ENTRIES["ball-classify"].bind()
 
     @settings(max_examples=100, deadline=None)
     @given(generator_lists_st())
@@ -125,21 +121,7 @@ class TestLevelSets:
         assert level_set(TypeIV(3), -6) is LINE
         assert level_set(TypeIV(3), 2) is None
 
-    @settings(max_examples=150, deadline=None)
-    @given(subgroups_st(), st.integers(-12, 12))
-    def test_int_levels_match_level_set(self, H, m):
-        L = int_levels(H)
-        D = L.scale
-        got = L.at(m)
-        want = level_set(H, m)
-        if want is None or want is LINE:
-            assert got is want
-            return
-        offset, spacing = want
-        if spacing is None:
-            assert got == (offset * D, 0)
-        else:
-            assert got == ((offset * D) % (spacing * D), spacing * D)
+    test_int_levels_match_level_set = ENTRIES["int-levels"].bind()
 
     @settings(max_examples=150, deadline=None)
     @given(subgroups_st())

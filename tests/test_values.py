@@ -29,6 +29,7 @@ from chabauty_rz.earring import (
     winding_count,
 )
 from chabauty_rz.equivalence import BoundaryCoord
+from chabauty_rz.literals import format_subgroup
 from chabauty_rz.metric import DistanceBracket, LimitReport, chabauty_distance, verify_limit
 from chabauty_rz.oracle import oracle_closure_ball
 from chabauty_rz.rationals import INF, Record, as_int
@@ -193,6 +194,20 @@ REFUSED = [
     ("TypeII('abc', 1)", "ValueError", "'abc' is not a rational number"),
     ("TypeI('1' * 5000)", "ValueError", "'111111111111...1111111111111' is not a rational number"),
     ("elements_in_ball(TypeI(1), float('nan'))", "ValueError", "nan is not a rational number"),
+    ("membership(TypeI(1), (1, 2, 3))", "False: it read the first two coordinates",
+     "a point is a pair (x, level), not (1, 2, 3)"),
+    ("membership(TypeI(1), 5)", "TypeError", "a point is a pair (x, level), not 5"),
+    ("distance_point_to_subgroup((F(1),), TypeI(1))", "IndexError",
+     "a point is a pair (x, level), not (Fraction(1, 1),)"),
+    ("classify_from_generators([(1,)])", "ValueError", "a point is a pair (x, level), not (1,)"),
+    ("classify_from_generators([(1, 2, 3)])", "ValueError",
+     "a point is a pair (x, level), not (1, 2, 3)"),
+    ("classify_from_generators(5)", "TypeError",
+     "points must be an iterable of pairs (x, level), not 5"),
+    ("oracle_closure_ball([(1,)], 1)", "ValueError", "a point is a pair (x, level), not (1,)"),
+    ("elements_in_ball('x', 1)", "TypeError", "not a subgroup value: 'x'"),
+    ("chabauty_distance('x', TypeI(1), 1)", "TypeError", "not a subgroup value: 'x'"),
+    ("format_subgroup('x')", "TypeError", "not a subgroup value: 'x'"),
 ]
 
 
