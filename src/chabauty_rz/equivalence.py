@@ -18,11 +18,10 @@ against canonical equality of the chart images.
 
 from __future__ import annotations
 
-import reprlib
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .rationals import Record, as_fraction, as_int, at_least
+from .rationals import Record, as_fraction, as_int, as_pair, at_least
 from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
 
@@ -54,18 +53,8 @@ class BoundaryCoord(Record):
 Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]
 
 
-def _read(coord: Coordinate):
-    """A coordinate's level and point; what is not a pair is refused."""
-    try:
-        k, c = coord
-    except (TypeError, ValueError):
-        raise InvalidParameter(
-            f"a coordinate is a pair (level, point), not {reprlib.repr(coord)}") from None
-    return k, c
-
-
 def _classify(coord: Coordinate):
-    k, c = _read(coord)
+    k, c = as_pair(coord, "a coordinate is a pair (level, point)")
     k = at_least(k, "level", 0)
     if isinstance(c, AxisCoord):
         if k != 0:
@@ -89,7 +78,7 @@ def check_equivalence(a: Coordinate, b: Coordinate) -> bool:
 
 def subgroup_image(coord: Coordinate) -> ClosedSubgroup:
     """Chart image of a coordinate, for cross-checking the relation."""
-    k, c = _read(coord)
+    k, c = as_pair(coord, "a coordinate is a pair (level, point)")
     k = as_int(k, "level")
     if isinstance(c, AxisCoord):
         return TypeI(c.alpha)

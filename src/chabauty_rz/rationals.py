@@ -3,8 +3,9 @@
 Subgroup parameters live in [0, oo]; everything else is a plain Fraction.
 The sentinel compares greater than every rational and equal only to itself,
 which is all the ordering the rest of the code needs.  ``Record`` is the
-base of the package's immutable value types; ``as_int``, ``as_fraction``
-and ``as_point`` read every integer, rational and point input.
+base of the package's immutable value types; ``as_int``, ``as_fraction``,
+``as_pair`` and ``as_point`` read every integer, rational, pair and point
+input.
 """
 
 from __future__ import annotations
@@ -85,13 +86,19 @@ def as_fraction(x) -> Fraction:
         raise InvalidParameter(f"{reprlib.repr(x)} is not a rational number") from None
 
 
-def as_point(p) -> tuple:
-    """A point (x, level): x read by ``as_fraction``, the level by ``as_int``;
-    what is not a pair is refused with ``InvalidParameter``."""
+def as_pair(p, what: str) -> tuple:
+    """The two items of ``p``, unread; what is not a pair is refused with
+    ``InvalidParameter``, its message ``what`` and ``p``."""
     try:
-        x, m = p
+        a, b = p
     except (TypeError, ValueError):
-        raise InvalidParameter(f"a point is a pair (x, level), not {reprlib.repr(p)}") from None
+        raise InvalidParameter(f"{what}, not {reprlib.repr(p)}") from None
+    return a, b
+
+
+def as_point(p) -> tuple:
+    """A point (x, level): x read by ``as_fraction``, the level by ``as_int``."""
+    x, m = as_pair(p, "a point is a pair (x, level)")
     return as_fraction(x), as_int(m, "level")
 
 

@@ -7,26 +7,24 @@ They must give equal values or, for an entry with ``errors``, also raise
 the same ``ValueError`` type with the same message.  The references are
 safety code: they are never sampled down or loosened.
 
-An entry runs once, under the test it was first written as (``Entry.bind``)
-or, if it has none, in ``test_references.py``.  To add a reference, add
-one entry here.
+Each entry runs from one test, which calls its ``run`` (or ``check`` on
+each pin, for a test with one case per pin; such an entry has no draws).
+To add a reference, add one entry here and one test that runs it.
 """
 
 import functools
-import inspect
 import random
 from fractions import Fraction as F
 from math import lcm, pi
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chabauty_rz import (
-    DistanceBracket, PointRZ, TypeI, TypeII, TypeIII, blowup_total_length, chabauty_distance,
-    classify_from_generators, denjoy_xi, distance_witness, elements_in_ball,
-    hausdorff_inclusion_ok, membership, oracle_closure_ball, parse_subgroup, totient,
-    winding_count, winding_count_sampled)
+    INF, DistanceBracket, PointRZ, TypeI, TypeII, TypeIII, TypeIV, blowup_total_length,
+    chabauty_distance, classify_from_generators, denjoy_xi, distance_witness, elements_in_ball,
+    hausdorff_inclusion_ok, membership, oracle_closure_ball, parse_subgroup, subgroup_subset,
+    totient, winding_count, winding_count_sampled)
 from chabauty_rz.denjoy import _first_unresolved, _winding, blowup_interval_start
 from chabauty_rz.literals import parse_rational
 from chabauty_rz.oracle import lattice_basis
@@ -67,29 +65,10 @@ class Entry:
         for args in self.pins:
             self.check(*args)
         if self.draws is not None:
-            settings(max_examples=self.examples, deadline=None)(
+            # every entry draws through the same function, so no example
+            # database: a failure saved for one would replay on another
+            settings(max_examples=self.examples, deadline=None, database=None)(
                 given(self.draws)(lambda args: self.check(*args)))()
-
-    def bind(self, stub=lambda *_: None):
-        """This entry's test, after ``stub``, whose body may check the inputs
-        themselves.  A stub with parameters besides ``self`` makes one test
-        per pin, over those parameters; otherwise the test runs the entry."""
-        names = [name for name, param in inspect.signature(stub).parameters.items()
-                 if name != "self" and param.kind is param.POSITIONAL_OR_KEYWORD]
-
-        @functools.wraps(stub)
-        def test(*args, **pin):
-            stub(*args, **pin)
-            if pin:
-                self.check(*pin.values())
-            else:
-                self.run()
-
-        test.entry = self
-        if not names:
-            return test
-        values = [pin[0] if len(names) == 1 else pin for pin in self.pins]
-        return pytest.mark.parametrize(",".join(names), values)(test)
 
 
 # -- blow-up: the Farey layout, stage one (the least unresolved sample) and
@@ -283,6 +262,26 @@ def by_inclusion(H, K):
     return DistanceBracket(d, d) if breaks and holds else None
 
 
+def reference_subset(H, H2) -> bool:
+    """H subset of H2 in Fraction arithmetic: each generator of H (or its
+    line) lies in H2, by ``membership`` and ``level_set``."""
+    if isinstance(H, TypeI):
+        if H.alpha is INF:
+            return level_set(H2, 0) is LINE
+        if H.alpha == 0:
+            return True
+        return membership(H2, (1 / H.alpha, 0))
+    if isinstance(H, TypeII):
+        return membership(H2, (H.gamma, H.n))
+    if isinstance(H, TypeIII):
+        return membership(H2, (1 / H.alpha, 0)) and membership(
+            H2, (H.beta / H.alpha, H.n)
+        )
+    if isinstance(H, TypeIV):
+        return isinstance(H2, TypeIV) and H.n % H2.n == 0
+    raise TypeError(f"not a subgroup value: {H!r}")
+
+
 pairs = st.tuples(subgroups_st(), subgroups_st())
 
 
@@ -354,6 +353,7 @@ ENTRIES = {
                             pins=EXACT),
     "witness-exact": Entry(parsed(witness_values), parsed(witness_by_oracle), pins=EXACT),
     "witness": Entry(witness_values, witness_by_oracle, draws=pairs, examples=300),
+    "subset": Entry(subgroup_subset, reference_subset, draws=pairs, examples=300),
     "distance-inclusion": Entry(
         lambda H, K: chabauty_distance(H, K, TOL), by_inclusion, draws=pairs, examples=300,
         pins=[

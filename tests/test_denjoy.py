@@ -44,19 +44,23 @@ from references.blowup import full_layout, gap_band, mirrored_points, ref_layout
 
 
 class TestAgainstReference:
-    test_location = ENTRIES["xi"].bind()
+    def test_location(self):
+        ENTRIES["xi"].run()
 
-    test_layout_and_band_edges = ENTRIES["layout"].bind()
+    def test_layout_and_band_edges(self):
+        ENTRIES["layout"].run()
 
-    @ENTRIES["xi-mirrored"].bind
+    @pytest.mark.parametrize("B", [B for B, in ENTRIES["xi-mirrored"].pins])
     def test_reflected_positions_and_the_wrap(self, B):
         labels = ref_layout(B)[0]
         points = mirrored_points(B)
         assert len(points) > 4 * (len(labels) // 2)
         # the mirror of the wrap has no band before L_B: irrational there
         assert denjoy_xi(points[1], B) is IRRATIONAL
+        ENTRIES["xi-mirrored"].check(B)
 
-    test_sampled_winding = ENTRIES["wind-sampled"].bind()
+    def test_sampled_winding(self):
+        ENTRIES["wind-sampled"].run()
 
 
 class TestLayoutShape:
@@ -257,6 +261,9 @@ class TestSampledWinding:
         with pytest.raises(InvalidParameter):
             winding_count_sampled(1, 1, MAX_GRID + 1, 8)
 
+    def test_exact_count_is_totient(self):
+        ENTRIES["winding-count"].run()
+
 
 SMALL_PAIRS = [(k, m) for k in range(1, 7) for m in range(1, 7)]
 # every grid point is resolved at (200, 20); at (64, 1) the first
@@ -301,19 +308,20 @@ class TestTwoStages:
             assert outcome(winding_count_sampled, k, m, 200, 8) == want
             assert outcome(ref_wind, k, m, 200, 8) == want
 
-    test_calls_in_sequence = ENTRIES["wind-sampled-in-sequence"].bind()
+    def test_calls_in_sequence(self):
+        ENTRIES["wind-sampled-in-sequence"].run()
 
 
 class TestKernelAgainstLoops:
     """The blow-up kernel, which works by runs of samples over half the
     layout, against the plain loops it replaced."""
 
-    @ENTRIES["farey-layout"].bind
+    @pytest.mark.parametrize("B", [B for B, in ENTRIES["farey-layout"].pins])
     def test_mirrored_layout(self, B):
-        """The half layout and its mirror against the full Farey recurrence."""
+        ENTRIES["farey-layout"].check(B)
 
-    @ENTRIES["stage-one"].bind
     def test_stage_one(self):
+        ENTRIES["stage-one"].run()
         keys = ENTRIES["stage-one"].pins
         assert len(keys) >= 1500
         for (grid, B), j in MIRRORED_KEYS.items():
@@ -359,18 +367,18 @@ class TestKernelAgainstLoops:
         assert list(_band_samples(lay, grid, B, lay.scale * grid, True)) == [23]
         assert isinstance(_locate(grid - 23, grid, B), Unresolved)
 
-    @ENTRIES["stage-one-at-precision-one"].bind
     def test_stage_one_at_precision_one(self):
+        ENTRIES["stage-one-at-precision-one"].run()
         # the band past I_{0/1} covers the one gap: the first sample past D
         for grid in range(8, 4097):
             assert first_unresolved(grid, 1) == grid // 2 + 1
 
-    @ENTRIES["stage-two"].bind
+    @pytest.mark.parametrize("grid,B", ENTRIES["stage-two"].pins)
     def test_stage_two(self, grid, B):
-        """Each circle's turns against the float walk of its angles."""
+        ENTRIES["stage-two"].check(grid, B)
 
-    @ENTRIES["stage-two-coarse"].bind
     def test_coarse_grids(self):
+        ENTRIES["stage-two-coarse"].run()
         # steps longer than pi are common on coarse grids, so many counts
         # differ from totient(b), the limit of fine grids
         keys = ENTRIES["stage-two-coarse"].pins

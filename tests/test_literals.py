@@ -133,9 +133,11 @@ class TestFormatting:
 class TestAgainstReference:
     """The compiled patterns against the character-at-a-time reference."""
 
-    test_same_value_or_same_error = ENTRIES["parse-subgroup"].bind()
+    def test_same_value_or_same_error(self):
+        ENTRIES["parse-subgroup"].run()
 
-    test_same_rational_or_same_error = ENTRIES["parse-rational"].bind()
+    def test_same_rational_or_same_error(self):
+        ENTRIES["parse-rational"].run()
 
     def test_the_reference_reads_more_digits(self):
         # The one deliberate difference, pinned on both sides.

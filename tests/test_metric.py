@@ -19,21 +19,15 @@ from chabauty_rz import (
     classify_from_generators,
     chabauty_distance,
     hausdorff_inclusion_ok,
-    membership,
     subgroup_subset,
     verify_limit,
 )
 
 from chabauty_rz.metric import _common_levels
-from chabauty_rz.subgroups import (
-    LINE,
-    from_levels,
-    int_levels,
-    level_set,
-)
+from chabauty_rz.subgroups import from_levels, int_levels
 from chabauty_rz.suites import run_suite
 
-from references import ENTRIES, TOL
+from references import ENTRIES, TOL, reference_subset
 from strategies import generator_lists_st, subgroups_st
 
 
@@ -66,17 +60,19 @@ class TestHandDistances:
 
 
 class TestExactDistances:
-    @ENTRIES["distance-exact"].bind
+    @pytest.mark.parametrize("left,right,d", ENTRIES["distance-exact"].pins)
     def test_exact_value(self, left, right, d):
-        """Both orders against the hand-computed distance."""
+        ENTRIES["distance-exact"].check(left, right, d)
 
-    @ENTRIES["witness-exact"].bind
+    @pytest.mark.parametrize("left,right,d", ENTRIES["witness-exact"].pins)
     def test_witness_attains_distance(self, left, right, d):
-        """The witness's value against the Fraction oracles' at its point."""
+        ENTRIES["witness-exact"].check(left, right, d)
 
-    test_witness_attains_distance_on_drawn_pairs = ENTRIES["witness"].bind()
+    def test_witness_attains_distance_on_drawn_pairs(self):
+        ENTRIES["witness"].run()
 
-    test_agrees_with_inclusion_predicate = ENTRIES["distance-inclusion"].bind()
+    def test_agrees_with_inclusion_predicate(self):
+        ENTRIES["distance-inclusion"].run()
 
     def test_distance_over_the_work_cap_raises(self):
         # A dense lattice against a sparse one: d is near 1 but not 1, and
@@ -137,26 +133,6 @@ class TestPredicate:
         assert all(b or not a for a, b in zip(chain, chain[1:]))
 
 
-def reference_subset(H, H2) -> bool:
-    """H subset of H2 in Fraction arithmetic: each generator of H (or its
-    line) lies in H2, by ``membership`` and ``level_set``."""
-    if isinstance(H, TypeI):
-        if H.alpha is INF:
-            return level_set(H2, 0) is LINE
-        if H.alpha == 0:
-            return True
-        return membership(H2, (1 / H.alpha, 0))
-    if isinstance(H, TypeII):
-        return membership(H2, (H.gamma, H.n))
-    if isinstance(H, TypeIII):
-        return membership(H2, (1 / H.alpha, 0)) and membership(
-            H2, (H.beta / H.alpha, H.n)
-        )
-    if isinstance(H, TypeIV):
-        return isinstance(H2, TypeIV) and H.n % H2.n == 0
-    raise TypeError(f"not a subgroup value: {H!r}")
-
-
 @st.composite
 def subset_pairs_st(draw):
     """A pair (H, K) with H inside K by construction."""
@@ -199,10 +175,8 @@ class TestSubsetFastPath:
         if subgroup_subset(H, K):
             assert hausdorff_inclusion_ok(H, K, F(1, 50))
 
-    @settings(max_examples=300, deadline=None)
-    @given(subgroups_st(), subgroups_st())
-    def test_matches_reference_on_drawn_pairs(self, H, K):
-        assert subgroup_subset(H, K) == reference_subset(H, K)
+    def test_matches_reference_on_drawn_pairs(self):
+        ENTRIES["subset"].run()
 
     @settings(max_examples=300, deadline=None)
     @given(subset_pairs_st())
