@@ -14,6 +14,7 @@ from importlib import import_module as _import_module
 # from the package; when it is a typed error; or when it is a record class
 # or constant that a function here takes or returns.  Every other name is
 # reached through its module (``chabauty_rz.denjoy.MAX_GRID``).
+# These modules load at import, for the bench tracer; json, random, argparse, plot on first use.
 _PUBLIC = {
     "rationals": ("INF", "InvalidParameter", "as_fraction"),
     "subgroups": (

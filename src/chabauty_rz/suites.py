@@ -3,15 +3,14 @@
 Each suite is deterministic for a fixed seed and returns a report whose
 cases carry the numeric evidence that produced the verdict.  Reports
 serialize to a line-oriented text form and to JSON with the schema
-{suite, seed, pass, cases: [{id, pass, detail}]}.
+{suite, seed, pass, cases: [{id, pass, detail}]}; several reports make one
+document {pass, suites: [...]}.
 """
 
 from __future__ import annotations
 
-import json
-import random
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .rationals import INF, Record, as_int, fmt_q
 from .subgroups import (
@@ -43,6 +42,9 @@ from .denjoy import Interval, blowup_interval_start, blowup_total_length, denjoy
 from .equivalence import AxisCoord, BoundaryCoord, check_equivalence, subgroup_image
 from .literals import format_subgroup
 from .oracle import oracle_closure_ball, totient
+
+if TYPE_CHECKING:  # the annotations only; run_suite loads random
+    import random
 
 
 class UnknownSuite(InvalidParameter):
@@ -80,7 +82,20 @@ class SuiteReport(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _dumps(self.to_dict())
+
+
+def reports_to_json(reports) -> str:
+    """The JSON document of several reports, as ``verify --suite all --json``
+    prints it: {pass, suites: [each report's document]}."""
+    return _dumps({"pass": all(r.passed for r in reports),
+                   "suites": [r.to_dict() for r in reports]})
+
+
+def _dumps(doc) -> str:
+    import json  # loaded on the first report written, not on import
+
+    return json.dumps(doc, indent=2)
 
 
 # -- random sampling ---------------------------------------------------------
@@ -413,6 +428,8 @@ def run_suite(name: str, seed: int, budget: int) -> SuiteReport:
         raise InvalidParameter("budget must be positive")
     if budget > MAX_BUDGET:
         raise InvalidParameter(f"budget must be <= {MAX_BUDGET}")
+    import random  # loaded on the first suite run, not on import
+
     rng = random.Random(seed)
     cases = _SUITES[name](rng, budget)
     return SuiteReport(name, seed, tuple(cases))

@@ -9,7 +9,7 @@ from math import atan, lcm, pi
 
 from chabauty_rz import IRRATIONAL, Interval, OnCircle, Unresolved, UnresolvedSample
 from chabauty_rz import denjoy_xi, glue_boundary
-from chabauty_rz.denjoy import _layout, _locate
+from chabauty_rz.denjoy import _layout
 
 
 # -- reference blow-up, in Fractions, from the definition ----------------------
@@ -90,10 +90,22 @@ def full_layout(B):
     return nums, dens, starts, lay.total, lay.scale, lay.widths
 
 
+_farey_layout = lru_cache(maxsize=None)(ref_farey_layout)  # per B, for stage one
+
+
 def ref_first_unresolved(grid, B):
-    """Stage one sample by sample: `_locate` at every grid point."""
+    """Stage one sample by sample, each located on the full Farey layout by
+    `ref_xi`'s band rule, in integers scaled by D * grid: both bands of the
+    gap after label i are w_i/B^2 wide, and the gap that wraps round to 0
+    has only the band past its interval."""
+    _, dens, starts, total, _, widths = _farey_layout(B)
+    sq, last = B * B, len(starts) - 1
     for j in range(grid):
-        if isinstance(_locate(j, grid, B), Unresolved):
+        pos = j * total
+        i = bisect_right(starts, pos // grid) - 1
+        w = widths[dens[i]] * grid
+        off = pos - starts[i] * grid
+        if off > w and ((off - w) * sq < w or i < last and (starts[i + 1] * grid - pos) * sq < w):
             return j
     return None
 

@@ -10,6 +10,7 @@ import pytest
 import chabauty_rz
 from chabauty_rz import InvalidParameter, ParseError, run_cli
 from chabauty_rz.earring import MAX_WIND_RATIO
+from chabauty_rz.plot import render_model_svg
 from chabauty_rz.suites import SUITE_NAMES, UnknownSuite, run_suite
 
 
@@ -356,6 +357,38 @@ class TestRuntimeImports:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "I(alpha=6)\n", "")
+
+
+class TestLoadOnUse:
+    """Each command in a fresh process, which loads json, argparse and the
+    plot writer on first use, not on import."""
+
+    @staticmethod
+    def command(*argv):
+        src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "chabauty_rz.cli", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+
+    def test_verify_json(self):
+        proc = self.command("verify", "--suite", "winding", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == json.loads(run_suite("winding", 0, 100).to_json())
+
+    def test_plot_writes_its_svg(self, tmp_path):
+        out_path = tmp_path / "model.svg"
+        proc = self.command("plot", "--out", str(out_path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {out_path}\n", "")
+        assert out_path.read_text(encoding="utf-8") == render_model_svg()
+
+    def test_usage_error(self):
+        proc = self.command("frob")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "usage error: argument command: invalid choice: 'frob' (choose from "
+            "'classify', 'dist', 'limit', 'model', 'wind', 'verify', 'plot')\n")
 
 
 class TestErrorContract:

@@ -36,23 +36,51 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == sorted(chabauty_rz.__all__)
 
 
+SRC = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
+BENCH = os.path.join(os.path.dirname(SRC), "bench")
+
+
+def fresh(script):
+    """Run ``script`` in a fresh interpreter, so that modules the test session
+    loaded do not count, and return what it printed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_import_loads_the_same_modules_in_the_same_order():
-    # A fresh interpreter, so modules the test session loaded do not count.
     script = (
         "import sys\n"
         "import chabauty_rz\n"
         "print(' '.join(m for m in sys.modules if m.startswith('chabauty_rz.')))\n"
     )
-    src = os.path.dirname(os.path.dirname(chabauty_rz.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # cli imports plot, the one module outside the table
-    assert proc.stdout.split() == [
+    # the table's modules; plot loads with the CLI's parser, on first use
+    assert fresh(script).split() == [
         f"chabauty_rz.{name}" for name in (
             "rationals", "subgroups", "metric", "earring", "denjoy", "oracle",
-            "equivalence", "literals", "suites", "plot", "cli",
+            "equivalence", "literals", "suites", "cli",
         )
     ]
+
+
+#: Modules that load on first use, not on ``import chabauty_rz``.
+ON_USE = ("json", "argparse", "gettext", "random", "chabauty_rz.plot", "chabauty_rz.cli._parser")
+
+
+def test_import_loads_nothing_that_waits_for_its_first_use():
+    # The tracer wraps each of its TARGETS on the modules loaded by then.
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import chabauty_rz\n"
+        "loaded = dict(sys.modules)\n"
+        f"sys.path.insert(0, {BENCH!r})\n"
+        "from tracer import TARGETS\n"
+        "for module, name, _ in TARGETS:\n"
+        "    assert callable(getattr(loaded[f'chabauty_rz.{module}'], name)), name\n"
+        f"print(' '.join(m for m in {ON_USE!r} if m in loaded and m not in bare))\n"
+    )
+    assert fresh(script).split() == []
