@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import re
 
-from ..earring import MAX_WIND_RATIO
+from ..earring import MAX_CIRCLES, MAX_CONES, MAX_WIND_RATIO
 from ..denjoy import MAX_GRID, MAX_PRECISION
-from ..plot import MAX_CIRCLES, MAX_CONES
 from ..suites import MAX_BUDGET, SUITE_NAMES
 
 

@@ -190,6 +190,12 @@ def model_to_subgroup(m: ModelPoint) -> ClosedSubgroup:
 #: Largest m/k accepted by `winding_count`, which counts one a at a time
 #: (10^6 takes about 0.25 s).
 MAX_WIND_RATIO = 10**6
+#: Most earring circles the schematic plot draws; the SVG grows linearly
+#: with the count.  Here, not in ``plot``, so that the CLI's help reads it
+#: without loading ``plot``.
+MAX_CIRCLES = 1000
+#: Most cones drawn; cone k is 380/2^k pixels wide, under a pixel from k = 9.
+MAX_CONES = 64
 
 
 def winding_count(k: int, m: int) -> int:

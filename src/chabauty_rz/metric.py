@@ -20,15 +20,18 @@ So d is always rational, ``chabauty_distance`` builds one ``Fraction``
 and returns [d, d], and ``distance_witness`` builds a point only for
 the side it returns.
 
-The work is bounded.  No point scores more than 1, so every search stops
-once its best score is 1, and the second side is skipped when the first
-is 1.  The level loop also stops once |x| alone caps the score of a
-group with one point per level, or once half the spacing of a lattice on
-every level of the other group does.  Each visited level and candidate
-point is charged one unit per 64-bit word of D, so the cap covers the
-arithmetic on long literals as well as the count: a search over more
-than ``MAX_BALL_POINTS`` units raises ``InvalidParameter``, and every D
-below 2^64 costs 1 per level or candidate.
+The work is bounded, and for ``chabauty_distance`` it does not depend on
+the argument order.  Both sides are bounded first: no point scores over
+1, nor over (s // 2) / D when the other group holds each level as a
+lattice of spacing s, and a strip's side is known in closed form.  A
+strip's side comes first, as it needs no search; then the side with the
+larger bound, and on equal bounds the side of the lesser levels,
+whichever argument they came in.  The other side is skipped when its
+bound cannot beat the first side's score, else searched from that
+score.  Both searches draw on one budget: each visited level and
+candidate point costs one unit per 64-bit word of D, and past
+``MAX_BALL_POINTS`` units the distance raises ``InvalidParameter``.  A
+tie goes to S(H, H'): searched second, it wins with an equal score.
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
@@ -206,22 +209,27 @@ class Witness(NamedTuple):
     outer: ClosedSubgroup
 
 
-def _side(A: IntLevels, B: IntLevels):
-    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)), in ints at the
-    common scale: (num, den, X, W, m), the score num/den attained at the
-    point (X/W, m); (0, 1, 0, 1, 0) when A lies in B.  No score exceeds
-    1, and num == den exactly when it is 1.
+def _bound(A: IntLevels, B: IntLevels):
+    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)) before any
+    search: (side, top, den) with S <= top/den.  For a strip, side is S
+    (``_strip_sup``) and top/den its value; else side is None and top/D
+    is ``_discrete_sup``'s cap at the common scale D.
 
     Only the level of B through p matters: any other level is at height
     distance >= 1, while min(1/|p|, dist(x, B_m)) <= 1 (for |p| < 1 the
     point lies on level 0 and B_0 contains 0).  So a point (x, m) scores
-    min(1/max(|x|, |m|), dist(x, B_m)), with dist(x, empty) = infinity.
-    Both groups are symmetric under p -> -p, so only levels m >= 0 are
-    walked, and only while 1/m can still beat the best score.
+    min(1/max(|x|, |m|), dist(x, B_m)), with dist(x, empty) = infinity:
+    never above 1, nor above (s // 2) / D when B holds each level of A as
+    a lattice of spacing s.  Both groups are symmetric under p -> -p, so
+    only levels m >= 0 are walked, and only while 1/m can beat the best.
     """
-    if _levels_subset(A, B):
-        return 0, 1, 0, 1, 0
-    return (_strip_sup if A.line else _discrete_sup)(A, B)
+    if A.line:
+        side = _strip_sup(A, B)
+        return side, side[0], side[1]
+    D = A.scale
+    if B.g and not B.line and (A.n % B.n == 0 if B.n else not A.n):
+        return None, min(D, B.g // 2), D
+    return None, D, D
 
 
 def _witness(side, inner: ClosedSubgroup, outer: ClosedSubgroup) -> Witness:
@@ -230,21 +238,32 @@ def _witness(side, inner: ClosedSubgroup, outer: ClosedSubgroup) -> Witness:
     return Witness(Fraction(num, den), point, inner, outer)
 
 
-def _larger_side(H: IntLevels, K: IntLevels):
-    """The larger of S(H, K) and S(K, H), and whether it is S(K, H).  No
-    side exceeds 1, so a first side of 1 is the answer; a tie keeps the
-    first."""
-    a = _side(H, K)
-    if a[0] == a[1]:
-        return a, False
-    b = _side(K, H)
-    if b[0] * a[1] > a[0] * b[1]:
-        return b, True
-    return a, False
+def _larger_side(H: IntLevels, K: IntLevels, ties: bool = True):
+    """The larger of S(H, K) and S(K, H), and whether it is S(K, H), in the
+    order of the module docstring.  A tie gives S(H, K), unless ``ties`` is
+    False: then only the value counts, and an equal side is skipped."""
+    hk, kh = _bound(H, K), _bound(K, H)
+    # a strip's side first, as it is known; then the larger bound, then the
+    # lesser levels
+    swapped = (kh[0] is not None, kh[1] * hk[2], H) > (hk[0] is not None, hk[1] * kh[2], K)
+    A, B, (side, top, _), (other, otop, den) = (K, H, kh, hk) if swapped else (H, K, hk, kh)
+    work = 0
+    if side is None:
+        side, work = _discrete_sup(A, B, top, 0, 1, 0)
+    bn, bd = side[0], side[1]
+    tie = ties and swapped  # an equal score wins for S(H, K), searched second
+    if other is None and otop * bd - bn * den + tie > 0:
+        low = tie and bn > 0  # then search from just below the score
+        W = bd * den if low else 1
+        other, _ = _discrete_sup(B, A, otop, bn * W - low, bd * W, work)
+    if other is not None and other[0] * bd - bn * other[1] + tie > 0:
+        return other, not swapped
+    return side, swapped
 
 
-def _discrete_sup(A: IntLevels, B: IntLevels):
-    """S for a discrete A, all in ints at the common scale D.
+def _discrete_sup(A: IntLevels, B: IntLevels, top: int, bn: int, bd: int, work: int):
+    """S for a discrete A, all in ints at the common scale D, if it beats
+    the score bn/bd, below ``_bound``'s cap top/D; 0 when A lies in B.
 
     The best score is kept as the fraction bn/bd.  A point (X, m) has
     1/|p| = D/a with a = max(|X|, m*D), so only points with a*bn < D*bd
@@ -253,18 +272,20 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     point of least |X| in each of the P residue classes suffices, taken
     in decreasing order of dist until dist/D cannot beat the best score;
     the points inside the bound are enumerated instead when they are
-    fewer than P.  Every loop stops once the best score is 1, the most
-    any point can score; when B is a lattice of spacing s on every level
-    of A, dist <= s/2 caps every score.  Each visited level and candidate
-    point costs one unit of work per 64-bit word of D, so that the
+    fewer than P.  Every loop stops once the best score is 1, and the
+    level loop once it reaches the cap.  Each visited level and candidate
+    point adds one unit per 64-bit word of D to ``work``, so that the
     arithmetic on D's digits is charged too, and the search raises
     ``InvalidParameter`` once the work passes ``MAX_BALL_POINTS``.
-    Returns the side as ``_side`` does, with the witness at W = D.
+    Returns the side, (num, den, X, D, m) for the score num/den attained
+    at (X/D, m), or None when no point beats bn/bd; and the work.
     """
+    if _levels_subset(A, B):
+        return (0, 1, 0, 1, 0), work
     D = A.scale
     DD = D * D
     unit = (D.bit_length() + 63) // 64
-    bn, bd, wx, wm, work = 0, 1, 0, 0, 0
+    wx, wm = None, 0
 
     def consider(X: int, m: int, Bm) -> None:
         nonlocal bn, bd, wx, wm, work
@@ -305,12 +326,9 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
     if An:
         consider(Aq, An, B.at(An))
 
-    # No point scores above 1, nor above (s // 2) / D when B holds each
-    # level of A as a lattice of spacing s.  On a lattice level the classes
-    # of A's points modulo B's repeat with period P = s / h.
-    top, h = D, gcd(Ag, B.g)
-    if B.g and not B.line and (An % B.n == 0 if B.n else not An):
-        top = min(D, B.g // 2)
+    # On a lattice level the classes of A's points modulo B's repeat with
+    # period P = s / h.
+    h = gcd(Ag, B.g)
     period = B.g // h if B.g else 0
     if Ag and period:
         inv, L = pow(Ag // h, -1, period), Ag * period
@@ -355,7 +373,7 @@ def _discrete_sup(A: IntLevels, B: IntLevels):
         m += An
         o = (o + Aq) % Ag if Ag else o + Aq
         Bm = B.at(m)
-    return bn, bd, wx, D, wm
+    return (None if wx is None else (bn, bd, wx, D, wm)), work
 
 
 def _over_work_cap() -> InvalidParameter:
@@ -406,9 +424,10 @@ def _strip_sup(A: IntLevels, B: IntLevels):
 
 
 def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
-    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)); no side
-    exceeds 1, so a first side of 1 is the answer, and a tie gives
-    S(H, H2)."""
+    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)): the sides
+    are bounded, a strip's side or the larger bound taken first, the other
+    skipped when it cannot win or else searched from the first score, on
+    one budget.  A tie gives S(H, H2): second, it wins with an equal score."""
     side, swapped = _larger_side(*_common_levels(H, H2))
     return _witness(side, H2, H) if swapped else _witness(side, H, H2)
 
@@ -416,7 +435,7 @@ def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
 def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBracket:
     """The distance d(H, H2) as the exact bracket [d, d].
 
-    d = max(S(H, H2), S(H2, H)), S as in ``_side``; it is always
+    d = max(S(H, H2), S(H2, H)), S as in ``_bound``; it is always
     rational (see ``_strip_sup`` for the strips), so lo == hi.  ``tol``
     bounds the bracket width, which is 0; it must still be > 0.  Equal
     subgroups give [0, 0]: their levels at the common scale are equal,
@@ -427,7 +446,7 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
     levels = _common_levels(H, H2)
     if levels[0] == levels[1]:
         return DistanceBracket(Fraction(0), Fraction(0))
-    side, _ = _larger_side(*levels)
+    side, _ = _larger_side(*levels, ties=False)
     d = Fraction(side[0], side[1])
     return DistanceBracket(d, d)
 

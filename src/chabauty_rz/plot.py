@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from typing import List
 
+from .earring import MAX_CIRCLES, MAX_CONES
 from .rationals import InvalidParameter, as_int
 
 _WIDTH = 880.0
 _HEIGHT = 420.0
-
-#: Most earring circles drawn; the SVG grows linearly with the count.
-MAX_CIRCLES = 1000
-#: Most cones drawn; cone k is 380/2^k pixels wide, under a pixel from k = 9.
-MAX_CONES = 64
 
 
 def render_model_svg(circles: int = 6, cones: int = 4) -> str:

@@ -218,6 +218,13 @@ EXACT = [
     ("IV(n=1)", "III(alpha=10000000000,beta=0,n=1)", F(1, 20000000000)),
     ("III(alpha=62/1128827,beta=0,n=58)", "III(alpha=4743898516,beta=0,n=58)", F(1)),
     ("II(gamma=0,n=1)", "III(alpha=1000000000,beta=1/2,n=1)", F(1)),
+    # Each answers only when the side with the larger bound is searched
+    # first: in the first pair the side of the denser group, which meets
+    # an empty level near 0; in the second the sparse group's side is
+    # skipped, as its bound is below the dense group's score.
+    ("III(alpha=7667438/1615597,beta=95/97,n=4)", "III(alpha=36406/43,beta=7/97,n=1)", F(1)),
+    ("III(alpha=8,beta=90/97,n=4)", "III(alpha=3510483/3898,beta=11/97,n=4)",
+     F(28376135, 454022468)),
 ]
 
 
@@ -228,6 +235,28 @@ def parsed(fn):
 
 def both_ways(H, K):
     return chabauty_distance(H, K, TOL), chabauty_distance(K, H, TOL)
+
+
+def _drawn_pairs():
+    """500 seeded pairs of every family, with numerators and denominators up
+    to 10^5, and more of family III, where the two sides cost the most
+    unequally; at this size none reaches the work cap."""
+    rng = random.Random(25)
+
+    def q():
+        return F(rng.randint(1, 10**5), rng.randint(1, 10**5))
+
+    def group():
+        family, n = rng.randrange(6), rng.randint(1, 6)
+        if family == 0:
+            return TypeI(q())
+        if family == 1:
+            return TypeII(rng.choice((q(), -q())), n)
+        if family == 2:
+            return TypeI(INF) if rng.random() < 0.5 else TypeIV(n)
+        return TypeIII(q(), q() % 1, n)
+
+    return [(group(), group()) for _ in range(500)]
 
 
 def witness_values(H, K):
@@ -353,6 +382,12 @@ ENTRIES = {
                             pins=EXACT),
     "witness-exact": Entry(parsed(witness_values), parsed(witness_by_oracle), pins=EXACT),
     "witness": Entry(witness_values, witness_by_oracle, draws=pairs, examples=300),
+    # the same value, or the same refusal, in either argument order
+    "distance-symmetric": Entry(
+        lambda H, K: chabauty_distance(H, K, TOL), lambda H, K: chabauty_distance(K, H, TOL),
+        errors=True,
+        pins=[(parse_subgroup(left), parse_subgroup(right)) for left, right, _ in EXACT[-2:]]
+        + [(TypeI(F(2000001, 2)), TypeI(F(1, 10**7)))] + _drawn_pairs()),
     "subset": Entry(subgroup_subset, reference_subset, draws=pairs, examples=300),
     "distance-inclusion": Entry(
         lambda H, K: chabauty_distance(H, K, TOL), by_inclusion, draws=pairs, examples=300,

@@ -74,21 +74,28 @@ class TestExactDistances:
     def test_agrees_with_inclusion_predicate(self):
         ENTRIES["distance-inclusion"].run()
 
+    def test_same_answer_in_either_argument_order(self):
+        ENTRIES["distance-symmetric"].run()
+
     def test_distance_over_the_work_cap_raises(self):
         # A dense lattice against a sparse one: d is near 1 but not 1, and
-        # the walk along level 0 would visit about 2 * 10^6 points.
-        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
-            chabauty_distance(TypeI(F(2000001, 2)), TypeI(F(1, 10**7)), TOL)
+        # the walk along level 0 would visit about 2 * 10^6 points, in
+        # either argument order.
+        H, K = TypeI(F(2000001, 2)), TypeI(F(1, 10**7))
+        for left, right in ((H, K), (K, H)):
+            with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+                chabauty_distance(left, right, TOL)
 
     def test_work_is_charged_by_the_size_of_the_scale(self):
         # The same shape of pair with 1000-digit literals: each candidate
         # costs 52 units at a scale of 3320 bits, so the refusal comes
-        # after about 19000 candidates, not 10^6.
+        # after about 19000 candidates, not 10^6, in either argument order.
         p = 10**999
         H, K = TypeI(F(2 * p + 1, 2)), TypeI(F(1, 10**1007))
         start = time.perf_counter()
-        with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
-            chabauty_distance(H, K, TOL)
+        for left, right in ((H, K), (K, H)):
+            with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
+                chabauty_distance(left, right, TOL)
         assert time.perf_counter() - start < 10
 
 

@@ -57,7 +57,7 @@ def test_import_loads_the_same_modules_in_the_same_order():
         "import chabauty_rz\n"
         "print(' '.join(m for m in sys.modules if m.startswith('chabauty_rz.')))\n"
     )
-    # the table's modules; plot loads with the CLI's parser, on first use
+    # the table's modules; plot loads on the first plot command
     assert fresh(script).split() == [
         f"chabauty_rz.{name}" for name in (
             "rationals", "subgroups", "metric", "earring", "denjoy", "oracle",
@@ -84,3 +84,14 @@ def test_import_loads_nothing_that_waits_for_its_first_use():
         f"print(' '.join(m for m in {ON_USE!r} if m in loaded and m not in bare))\n"
     )
     assert fresh(script).split() == []
+
+
+def test_classify_loads_no_plot():
+    # the parser's help reads the plot caps from earring, not from plot
+    script = (
+        "import sys\n"
+        "from chabauty_rz import run_cli\n"
+        "run_cli(['classify', 'I(alpha=2)'])\n"
+        "print('chabauty_rz.plot' in sys.modules)\n"
+    )
+    assert fresh(script).split() == ["I(alpha=2)", "False"]
