@@ -9,16 +9,19 @@ so the infimum has the closed form
     d(H, H') = max(S(H, H'), S(H', H)),
     S(H, H') = sup over p in H of min(1/|p|, delta(p, H')),
 
-and it is attained.  ``chabauty_distance`` computes it in one integer
-pass per pair: the integer levels of ``subgroups.int_levels`` are taken
-once for both groups, at one common scale D, and that one pair of levels
-feeds both subset tests (which answer S = 0) and both sides.  A side is
-the best of a finite set of candidate points for a discrete group, or a
-closed form for a strip (I(inf), IV(n)); scores are int fractions
-compared by cross-multiplication, and witnesses int points at scale D.
-So d is always rational, ``chabauty_distance`` builds one ``Fraction``
-and returns [d, d], and ``distance_witness`` builds a point only for
-the side it returns.
+and it is attained.  ``chabauty_distance`` computes it in one flat
+integer pass per pair, on plain local ints.  ``subgroups.int_levels`` is
+read once per group, and both bases are scaled to one common scale D;
+each level of the other group is then read by arithmetic on its basis
+(level m is empty unless n divides m, else the line or q*m/n + g*Z).
+That one pass feeds both subset tests (which answer S = 0) and both
+sides.  A side is the best of a finite set of candidate points for a
+discrete group, or a closed form for a strip (I(inf), IV(n)); scores are
+int fractions compared by cross-multiplication, and witnesses int points
+at scale D.  So d is always rational; ``chabauty_distance`` builds one
+``Fraction`` and one ``DistanceBracket`` [d, d] at the end, and
+``distance_witness`` builds a point only for the side it returns.
+``subgroup_subset`` reads the same levels.
 
 The work is bounded, and for ``chabauty_distance`` it does not depend on
 the argument order.  Both sides are bounded first: no point scores over
@@ -28,10 +31,13 @@ strip's side comes first, as it needs no search; then the side with the
 larger bound, and on equal bounds the side of the lesser levels,
 whichever argument they came in.  The other side is skipped when its
 bound cannot beat the first side's score, else searched from that
-score.  Both searches draw on one budget: each visited level and
-candidate point costs one unit per 64-bit word of D, and past
-``MAX_BALL_POINTS`` units the distance raises ``InvalidParameter``.  A
-tie goes to S(H, H'): searched second, it wins with an equal score.
+score.  A search skips what cannot win: on level 0 the other group holds
+0, so a point (x, 0) scores at most |x|, and the walk there starts past
+|x| = the best score so far (the level-0 floor).  Both searches draw on
+one budget: each visited level and candidate point costs one unit per
+64-bit word of D, and past ``MAX_BALL_POINTS`` units the distance raises
+``InvalidParameter``.  A tie goes to S(H, H'): searched second, it wins
+with an equal score.
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
@@ -43,14 +49,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .rationals import Record, as_fraction, as_int
 from .subgroups import (
     LINE,
     MAX_BALL_POINTS,
     ClosedSubgroup,
-    IntLevels,
     InvalidParameter,
     PointRZ,
     distance_point_to_subgroup,
@@ -71,30 +76,41 @@ class DistanceBracket(NamedTuple):
 
 def subgroup_subset(H: ClosedSubgroup, H2: ClosedSubgroup) -> bool:
     """Exact decision of H subset of H2, on their integer levels."""
-    return _levels_subset(*_common_levels(H, H2))
+    _, A, B = _levels(H, H2)
+    return _subset(A, B)
 
 
-def _common_levels(A: ClosedSubgroup, B: ClosedSubgroup):
-    """The integer levels of A and B at one common scale."""
-    Al, Bl = int_levels(A), int_levels(B)
-    D = lcm(Al.scale, Bl.scale)
-    return Al.over(D), Bl.over(D)
+def _levels(H: ClosedSubgroup, K: ClosedSubgroup):
+    """D and the integer bases (g, q, n, line) of H and of K (see
+    ``IntLevels``) at that one common scale D."""
+    D, Hg, Hq, Hn, Hl = int_levels(H)
+    E, Kg, Kq, Kn, Kl = int_levels(K)
+    if D != E:
+        k = E // gcd(D, E)
+        D, Hg, Hq = D * k, Hg * k, Hq * k
+        k = D // E
+        Kg, Kq = Kg * k, Kq * k
+    return D, (Hg, Hq, Hn, Hl), (Kg, Kq, Kn, Kl)
 
 
-def _levels_subset(A: IntLevels, B: IntLevels) -> bool:
-    """A inside B, at one scale: A's lines, or its basis vectors, lie in B."""
-    if A.line:
-        return B.at(A.n) is LINE
-    return (not A.g or _holds(B, A.g, 0)) and (not A.n or _holds(B, A.q, A.n))
-
-
-def _holds(B: IntLevels, X: int, m: int) -> bool:
-    """Does B hold the point (X, m), at B's scale?"""
-    Bm = B.at(m)
-    if Bm is None or Bm is LINE:
-        return Bm is LINE
-    o, s = Bm
-    return (X - o) % s == 0 if s else X == o
+def _subset(A, B) -> bool:
+    """A inside B, at one scale: A's lines, or its basis vectors, lie in B.
+    B's level m is empty unless Bn divides m, else the line, or
+    Bq*m/Bn + Bg*Z."""
+    Ag, Aq, An, Al = A
+    Bg, Bq, Bn, Bl = B
+    if Al:
+        return Bl and (An % Bn == 0 if Bn else not An)
+    if Ag and not Bl and (not Bg or Ag % Bg):
+        return False  # (Ag, 0) is off B's level 0
+    if not An:
+        return True
+    if not Bn or An % Bn:
+        return False  # B's level An is empty
+    if Bl:
+        return True
+    o = An // Bn * Bq
+    return (Aq - o) % Bg == 0 if Bg else Aq == o
 
 
 def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
@@ -209,171 +225,237 @@ class Witness(NamedTuple):
     outer: ClosedSubgroup
 
 
-def _bound(A: IntLevels, B: IntLevels):
-    """S(A, B) = sup over p in A of min(1/|p|, delta(p, B)) before any
-    search: (side, top, den) with S <= top/den.  For a strip, side is S
-    (``_strip_sup``) and top/den its value; else side is None and top/D
-    is ``_discrete_sup``'s cap at the common scale D.
+def _larger_side(D, H, K, ties: bool = True):
+    """The larger of S(H, K) and S(K, H), for the bases H and K of
+    ``_levels`` at the common scale D, and whether it is S(K, H), in the
+    order of the module docstring; a side is (num, den, X, W, m) for the
+    score num/den attained at (X/W, m).  A tie gives S(H, K), unless
+    ``ties`` is False: then only the value counts, and an equal side is
+    skipped.
 
-    Only the level of B through p matters: any other level is at height
-    distance >= 1, while min(1/|p|, dist(x, B_m)) <= 1 (for |p| < 1 the
-    point lies on level 0 and B_0 contains 0).  So a point (x, m) scores
+    Each side is bounded before any search.  Only the level of the other
+    group through p matters: any other level is at height distance >= 1,
+    while min(1/|p|, dist(x, B_m)) <= 1 (for |p| < 1 the point lies on
+    level 0 and B_0 contains 0).  So a point (x, m) scores
     min(1/max(|x|, |m|), dist(x, B_m)), with dist(x, empty) = infinity:
     never above 1, nor above (s // 2) / D when B holds each level of A as
-    a lattice of spacing s.  Both groups are symmetric under p -> -p, so
-    only levels m >= 0 are walked, and only while 1/m can beat the best.
+    a lattice of spacing s.  A strip's side is exact (``_strip_sup``).
     """
-    if A.line:
-        side = _strip_sup(A, B)
-        return side, side[0], side[1]
-    D = A.scale
-    if B.g and not B.line and (A.n % B.n == 0 if B.n else not A.n):
-        return None, min(D, B.g // 2), D
-    return None, D, D
-
-
-def _witness(side, inner: ClosedSubgroup, outer: ClosedSubgroup) -> Witness:
-    num, den, X, W, m = side
-    point = PointRZ(Fraction(X, W), m) if num else None
-    return Witness(Fraction(num, den), point, inner, outer)
-
-
-def _larger_side(H: IntLevels, K: IntLevels, ties: bool = True):
-    """The larger of S(H, K) and S(K, H), and whether it is S(K, H), in the
-    order of the module docstring.  A tie gives S(H, K), unless ``ties`` is
-    False: then only the value counts, and an equal side is skipped."""
-    hk, kh = _bound(H, K), _bound(K, H)
+    if H == K:
+        return (0, 1, 0, 1, 0), False
+    Hg, Hq, Hn, Hl = H
+    Kg, Kq, Kn, Kl = K
+    # S(H, K): a strip's closed form, or a cap htop/D on a discrete side
+    if Hl:
+        hk = _strip_sup(D, Hn, Kg, Kn, Kl)
+        htop, hden = hk[0], hk[1]
+    else:
+        hk, hden = None, D
+        htop = min(D, Kg // 2) if Kg and (Hn % Kn == 0 if Kn else not Hn) else D
+    if Kl:
+        kh = _strip_sup(D, Kn, Hg, Hn, Hl)
+        ktop, kden = kh[0], kh[1]
+    else:
+        kh, kden = None, D
+        ktop = min(D, Hg // 2) if Hg and (Kn % Hn == 0 if Hn else not Kn) else D
     # a strip's side first, as it is known; then the larger bound, then the
-    # lesser levels
-    swapped = (kh[0] is not None, kh[1] * hk[2], H) > (hk[0] is not None, hk[1] * kh[2], K)
-    A, B, (side, top, _), (other, otop, den) = (K, H, kh, hk) if swapped else (H, K, hk, kh)
-    work = 0
+    # lesser levels.  H and K are renamed so that S(H, K) comes first.
+    swapped = (kh is not None, ktop * hden, H) > (hk is not None, htop * kden, K)
+    if swapped:
+        H, K, hk, htop, kh, ktop, kden = K, H, kh, ktop, hk, htop, hden
+    side, work = hk, 0
     if side is None:
-        side, work = _discrete_sup(A, B, top, 0, 1, 0)
+        side = _discrete_sup(D, H, K, htop, 0, 1, 0)
+        work = side[5]
     bn, bd = side[0], side[1]
     tie = ties and swapped  # an equal score wins for S(H, K), searched second
-    if other is None and otop * bd - bn * den + tie > 0:
+    if kh is None and ktop * bd - bn * kden + tie > 0:
         low = tie and bn > 0  # then search from just below the score
-        W = bd * den if low else 1
-        other, _ = _discrete_sup(B, A, otop, bn * W - low, bd * W, work)
-    if other is not None and other[0] * bd - bn * other[1] + tie > 0:
-        return other, not swapped
+        W = bd * kden if low else 1
+        kh = _discrete_sup(D, K, H, ktop, bn * W - low, bd * W, work)
+    if kh is not None and kh[0] * bd - bn * kh[1] + tie > 0:
+        return kh, not swapped
     return side, swapped
 
 
-def _discrete_sup(A: IntLevels, B: IntLevels, top: int, bn: int, bd: int, work: int):
-    """S for a discrete A, all in ints at the common scale D, if it beats
-    the score bn/bd, below ``_bound``'s cap top/D; 0 when A lies in B.
+def _discrete_sup(D, A, B, top, bn, bd, work):
+    """S for a discrete A against B, both bases (g, q, n, line) at the
+    common scale D, if it beats the score bn/bd, below the cap top/D; 0
+    when A lies in B.
 
-    The best score is kept as the fraction bn/bd.  A point (X, m) has
-    1/|p| = D/a with a = max(|X|, m*D), so only points with a*bn < D*bd
-    can beat the best score.  When B's level is a lattice, dist is
-    periodic along A's level with period P = s/gcd(g, s) steps, so the
-    point of least |X| in each of the P residue classes suffices, taken
-    in decreasing order of dist until dist/D cannot beat the best score;
-    the points inside the bound are enumerated instead when they are
-    fewer than P.  Every loop stops once the best score is 1, and the
-    level loop once it reaches the cap.  Each visited level and candidate
-    point adds one unit per 64-bit word of D to ``work``, so that the
-    arithmetic on D's digits is charged too, and the search raises
-    ``InvalidParameter`` once the work passes ``MAX_BALL_POINTS``.
-    Returns the side, (num, den, X, D, m) for the score num/den attained
-    at (X/D, m), or None when no point beats bn/bd; and the work.
+    One flat pass on local ints.  The best score is kept as the fraction bn/bd.
+    A point (X, m) has 1/|p| = D/a with a = max(|X|, m*D), so only points
+    with a*bn < D*bd can beat the best score.  B's level m is read from
+    its basis: empty unless Bn divides m, else the line, or Bq*m/Bn +
+    Bg*Z.  When it is a lattice, dist is periodic along A's level with
+    period P = s/gcd(g, s) steps, so the point of least |X| in each of
+    the P residue classes suffices, taken in decreasing order of dist
+    until dist/D cannot beat the best score; the points inside the bound
+    are walked outward from 0 instead when they are fewer than P.  On
+    level 0 that walk starts at the first |X| above bn*D/bd: B's level 0
+    holds 0, so dist(X, B_0) <= |X| and no point at or below that floor
+    can beat the best.  Every loop stops once the best score is 1, and
+    the level loop once it reaches the cap.  Each visited level and
+    candidate point adds one unit per 64-bit word of D to ``work``, so
+    that the arithmetic on D's digits is charged too, and the search
+    raises ``InvalidParameter`` once the work passes ``MAX_BALL_POINTS``.
+
+    Returns (num, den, X, D, m, work) for the score num/den attained at
+    (X/D, m), or None when no point beats bn/bd.
     """
-    if _levels_subset(A, B):
-        return (0, 1, 0, 1, 0), work
-    D = A.scale
-    DD = D * D
+    if _subset(A, B):
+        return 0, 1, 0, 1, 0, work
+    Ag, Aq, An, _ = A
+    Bg, Bq, Bn, Bl = B
+    DD, cap = D * D, MAX_BALL_POINTS
     unit = (D.bit_length() + 63) // 64
-    wx, wm = None, 0
-
-    def consider(X: int, m: int, Bm) -> None:
-        nonlocal bn, bd, wx, wm, work
-        work += unit
-        if work > MAX_BALL_POINTS:
-            raise _over_work_cap()
-        if Bm is LINE:
-            return
-        # a = max(|X|, m*D) and dist = the distance from X to B's level,
-        # by comparisons rather than the slower calls to max, min and abs.
-        a = X if X >= 0 else -X
-        if a < m * D:
-            a = m * D
-        if Bm is None:
-            vn, vd = D, a
-        else:
-            o, s = Bm
-            if s:
-                dist = (X - o) % s
-                if 2 * dist > s:
-                    dist = s - dist
-            else:
-                dist = X - o if X >= o else o - X
-            vn, vd = (D, a) if DD <= a * dist else (dist, D)
-        if vn * bd > bn * vd:
-            bn, bd, wx, wm = vn, vd, X, m
+    wx, wm, tied = None, 0, ()
 
     # Seed from A's generators; A is not inside B, so one of them scores > 0.
     # Also from level 0's points next to x = 1: there 1/|x| = 1 caps no
     # distance below 1, so they often score near the sup, which keeps the
-    # walk below short.
-    Ag, Aq, An = A.g, A.q, A.n
-    B0 = B.at(0)
+    # walk below short.  The distinct nonzero seeds are each charged once.
     if Ag:
         near = D - D % Ag
-        for X in {Ag, near, near + Ag} - {0}:
-            consider(X, 0, B0)
+        for X in (Ag, near, near + Ag) if near > Ag else (Ag, near + Ag) if near else (Ag,):
+            work += unit
+            if work > cap:
+                raise _over_work_cap()
+            if Bl:
+                continue
+            if Bg:
+                dist = X % Bg
+                if 2 * dist > Bg:
+                    dist = Bg - dist
+            else:
+                dist = X
+            vn, vd = (D, X) if DD <= X * dist else (dist, D)
+            if vn * bd > bn * vd:
+                bn, bd, wx, tied = vn, vd, X, ()
+            elif wx is not None and vn * bd == bn * vd:
+                tied += (X,)
+        seed = wx
     if An:
-        consider(Aq, An, B.at(An))
+        work += unit
+        if work > cap:
+            raise _over_work_cap()
+        k, empty = divmod(An, Bn) if Bn else (0, An)
+        if empty or not Bl:
+            a, oB = An * D, k * Bq
+            if a < Aq or a < -Aq:
+                a = Aq if Aq >= 0 else -Aq
+            if empty:
+                dist = DD  # no point of B there: the score is D/a, as a >= D
+            elif Bg:
+                dist = (Aq - oB) % Bg
+                if 2 * dist > Bg:
+                    dist = Bg - dist
+            else:
+                dist = Aq - oB if Aq >= oB else oB - Aq
+            vn, vd = (D, a) if DD <= a * dist else (dist, D)
+            if vn * bd > bn * vd:
+                bn, bd, wx, wm = vn, vd, Aq, An
 
     # On a lattice level the classes of A's points modulo B's repeat with
     # period P = s / h.
-    h = gcd(Ag, B.g)
-    period = B.g // h if B.g else 0
+    h = gcd(Ag, Bg)
+    period = Bg // h if Bg else 0
     if Ag and period:
         inv, L = pow(Ag // h, -1, period), Ag * period
-    m, o, Bm = 0, 0, B0  # A's level m is o + Ag*Z, or {o} when Ag == 0
+    m = o = 0  # A's level m is o + Ag*Z, or {o} when Ag == 0
     while top * bd > bn * D and m * bn < bd:
         work += unit
-        if work > MAX_BALL_POINTS:
+        if work > cap:
             raise _over_work_cap()
         if not Ag and abs(o) * bn >= D * bd:
             break  # one point per level, and |o| grows with m
-        if Bm is not LINE:
-            if not Ag:
-                consider(o, m, Bm)
-            elif Bm is None:
-                consider(o if 2 * o <= Ag else o - Ag, m, Bm)
+        # B's level m: empty, the line, or oB + Bg*Z with oB in [0, Bg)
+        k, empty = divmod(m, Bn) if Bn else (0, m)
+        if empty or not Bl:
+            mD, oB = m * D, k * Bq % Bg if Bg else k * Bq
+            if Ag and not empty and 0 < period <= 2 * D * bd // (bn * Ag) + 2:
+                # Classes by their distance t to B's level, largest first:
+                # X = o + g*k lies at t iff g*k = oB +- t - o (mod s), and a
+                # class scores at most t/D.  The t in [1, s // 2] with
+                # t = +-r (mod h) form two progressions of step h that
+                # interleave, so going down the steps alternate between
+                # their gap and h minus it (h alone for one progression).
+                r, t = (o - oB) % h, Bg // 2
+                t, u = t - (t - r) % h, t - (t + r) % h
+                step = t - u if t > u else u - t or h
+                if t < u:
+                    t = u
+                back = h - step or h
+                while t >= 1:
+                    if t * bd <= bn * D or bn >= bd:
+                        break
+                    for c in (oB + t - o, oB - t - o):
+                        if c % h == 0:
+                            X = (o + Ag * (c // h * inv % period)) % L
+                            if 2 * X > L:
+                                X -= L
+                            work += unit
+                            if work > cap:
+                                raise _over_work_cap()
+                            a = X if X >= 0 else -X
+                            if a < mD:
+                                a = mD
+                            dist = (X - oB) % Bg
+                            if 2 * dist > Bg:
+                                dist = Bg - dist
+                            vn, vd = (D, a) if DD <= a * dist else (dist, D)
+                            if vn * bd > bn * vd:
+                                bn, bd, wx, wm = vn, vd, X, m
+                    t -= step
+                    step, back = back, step
             else:
-                oB, s = Bm
-                if 0 < period <= 2 * D * bd // (bn * Ag) + 2:
-                    # Classes by their distance t to B's level, largest
-                    # first: X = o + g*k lies at t iff g*k = oB +- t - o
-                    # (mod s), and a class scores at most t/D.
-                    for t in _descending(s // 2, h, (o - oB) % h):
-                        if t * bd <= bn * D or bn >= bd:
-                            break
-                        for c in (oB + t - o, oB - t - o):
-                            if c % h == 0:
-                                X = (o + Ag * (c // h * inv % period)) % L
-                                consider(X if 2 * X <= L else X - L, m, Bm)
+                # Outward from 0 in order of |X|, while the bound holds; on
+                # level 0 from the first |X| above the floor bn*D/bd.  A
+                # level where A has one point, or where B has none, has one
+                # candidate, the first of the walk: the point of least |X|,
+                # charged and scored without the bound test.
+                single = empty or not Ag
+                if m or single:
+                    right, left = o, o - Ag
                 else:
-                    # Outward from 0 in order of |X|, while the bound holds.
-                    right, left, mD = o, o - Ag, m * D
-                    while True:
-                        if right <= -left:
-                            X, right = right, right + Ag
-                        else:
-                            X, left = left, left - Ag
-                        if max(abs(X), mD) * bn >= D * bd:
-                            break
-                        consider(X, m, Bm)
+                    right = (bn * D // bd // Ag + 1) * Ag
+                    left = -right
+                while True:
+                    if right <= -left:
+                        X, right = right, right + Ag
+                    else:
+                        X, left = left, left - Ag
+                    a = X if X >= 0 else -X
+                    if a < mD:
+                        a = mD
+                    if a * bn >= D * bd and not single:
+                        break
+                    work += unit
+                    if work > cap:
+                        raise _over_work_cap()
+                    if empty:
+                        dist = DD
+                    elif Bg:
+                        dist = (X - oB) % Bg
+                        if 2 * dist > Bg:
+                            dist = Bg - dist
+                    else:
+                        dist = X - oB if X >= oB else oB - X
+                    vn, vd = (D, a) if DD <= a * dist else (dist, D)
+                    if vn * bd > bn * vd:
+                        bn, bd, wx, wm = vn, vd, X, m
+                    if single:
+                        break
         if not An:
             break
         m += An
         o = (o + Aq) % Ag if Ag else o + Aq
-        Bm = B.at(m)
-    return (None if wx is None else (bn, bd, wx, D, wm)), work
+    if tied and wx == seed and not wm:
+        # Equal best seeds, none beaten since: the witness is the first of
+        # them in the iteration order of this set, the rule that fixes which
+        # of equal points distance_witness returns.
+        wx = next(X for X in {Ag, near, near + Ag} - {0} if X == wx or X in tied)
+    return None if wx is None else (bn, bd, wx, D, wm, work)
 
 
 def _over_work_cap() -> InvalidParameter:
@@ -384,23 +466,9 @@ def _over_work_cap() -> InvalidParameter:
     )
 
 
-def _descending(top: int, h: int, r: int) -> Iterator[int]:
-    """The t in [1, top] with t = +-r (mod h), largest first."""
-    t, u = top - (top - r) % h, top - (top + r) % h
-    if t < u:
-        t, u = u, t
-    elif t == u:
-        u = 0  # r = -r (mod h): one progression
-    # Both lie in (top - h, top], so t, u, t - h, u - h, ... descends.
-    while t >= 1:
-        yield t
-        if u >= 1:
-            yield u
-        t, u = t - h, u - h
-
-
-def _strip_sup(A: IntLevels, B: IntLevels):
-    """S for a strip A (I(inf) or IV(n)), in closed form.
+def _strip_sup(D, An, Bg, Bn, Bl):
+    """S for a strip A (I(inf) or IV(n), with n = An) against B, in closed
+    form, as a side (num, den, X, W, m).
 
     Level 0 of B holds 0.  If it is a single point, x = 1 scores 1, the
     most any point can.  If it is a lattice s*Z, the tent dist(x, s*Z)
@@ -413,13 +481,11 @@ def _strip_sup(A: IntLevels, B: IntLevels):
     always rational.
     """
     num, den = 0, 1
-    B0 = B.at(0)
-    if B0 is not LINE:
-        s, D2 = B0[1], 2 * A.scale
-        num, den = (min(D2, s), D2) if s else (1, 1)
-    m = A.n
-    if m and m * num < den and B.at(m) is None:
-        return 1, m, 0, 1, m
+    if not Bl:
+        D2 = 2 * D
+        num, den = (min(D2, Bg), D2) if Bg else (1, 1)
+    if An and An * num < den and (not Bn or An % Bn):
+        return 1, An, 0, 1, An
     return num, den, num, den, 0  # the maximiser x equals its score
 
 
@@ -428,14 +494,18 @@ def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
     are bounded, a strip's side or the larger bound taken first, the other
     skipped when it cannot win or else searched from the first score, on
     one budget.  A tie gives S(H, H2): second, it wins with an equal score."""
-    side, swapped = _larger_side(*_common_levels(H, H2))
-    return _witness(side, H2, H) if swapped else _witness(side, H, H2)
+    side, swapped = _larger_side(*_levels(H, H2))
+    num, den, X, W, m = side[:5]
+    point = PointRZ(Fraction(X, W), m) if num else None
+    if swapped:
+        return Witness(Fraction(num, den), point, H2, H)
+    return Witness(Fraction(num, den), point, H, H2)
 
 
 def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBracket:
     """The distance d(H, H2) as the exact bracket [d, d].
 
-    d = max(S(H, H2), S(H2, H)), S as in ``_bound``; it is always
+    d = max(S(H, H2), S(H2, H)), S as in ``_larger_side``; it is always
     rational (see ``_strip_sup`` for the strips), so lo == hi.  ``tol``
     bounds the bracket width, which is 0; it must still be > 0.  Equal
     subgroups give [0, 0]: their levels at the common scale are equal,
@@ -443,10 +513,7 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
     """
     if as_fraction(tol).numerator <= 0:
         raise ToleranceInvalid("tol must be > 0")
-    levels = _common_levels(H, H2)
-    if levels[0] == levels[1]:
-        return DistanceBracket(Fraction(0), Fraction(0))
-    side, _ = _larger_side(*levels, ties=False)
+    side = _larger_side(*_levels(H, H2), False)[0]
     d = Fraction(side[0], side[1])
     return DistanceBracket(d, d)
 

@@ -256,13 +256,6 @@ class IntLevels(NamedTuple):
     n: int
     line: bool
 
-    def over(self, D: int) -> "IntLevels":
-        """The same group at scale D, a multiple of ``scale``."""
-        k = D // self.scale
-        if k == 1:
-            return self
-        return IntLevels(D, k * self.g, k * self.q, self.n, self.line)
-
     def at(self, m: int):
         """Level m: None (empty), LINE, or (offset, spacing) for
         offset + spacing*Z; spacing 0 is the single point {offset}, and

@@ -4,7 +4,8 @@ Each entry of ``ENTRIES`` names a kernel, its reference and the inputs they
 are compared on: pinned argument tuples, checked first, and a hypothesis
 strategy of argument tuples from ``strategies``, drawn ``examples`` times.
 They must give equal values or, for an entry with ``errors``, also raise
-the same ``ValueError`` type with the same message.  The references are
+the same ``ValueError`` type with the same message; an entry with ``agree``
+compares the two outcomes by that test instead.  The references are
 safety code: they are never sampled down or loosened.
 
 Each entry runs from one test, which calls its ``run`` (or ``check`` on
@@ -13,9 +14,11 @@ To add a reference, add one entry here and one test that runs it.
 """
 
 import functools
+import operator
 import random
 from fractions import Fraction as F
 from math import lcm, pi
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,32 +36,41 @@ from chabauty_rz.subgroups import LINE, distance_point_to_subgroup, int_levels, 
 from strategies import (
     circle_points, generator_lists_st, label_indices, literal_texts, rational_texts, subgroups_st)
 
-from . import literal_reference
+from . import distance_parent, literal_reference
 from .balls import fraction_points, oracle_closure_ball_sweep
 from .blowup import (
     edge_points, full_layout, mirrored_points, ref_farey_layout, ref_first_unresolved,
     ref_layout, ref_progress, ref_wind, ref_xi)
 
 
+class Refusal(NamedTuple):
+    """The type and message of a ``ValueError``."""
+
+    type: type
+    message: str
+
+
 def outcome(fn, *args):
-    """``fn(*args)``, or the type and message of the ``ValueError`` it raises."""
+    """``fn(*args)``, or the ``Refusal`` of the ``ValueError`` it raises."""
     try:
         return fn(*args)
     except ValueError as exc:
-        return type(exc), str(exc)
+        return Refusal(type(exc), str(exc))
 
 
 class Entry:
     """A kernel, its reference, and the inputs they are compared on."""
 
-    def __init__(self, kernel, reference, pins=(), draws=None, examples=0, errors=False):
+    def __init__(self, kernel, reference, pins=(), draws=None, examples=0, errors=False,
+                 agree=operator.eq):
         self.kernel, self.reference = kernel, reference
         self.pins, self.draws, self.examples = list(pins), draws, examples
         self.read = outcome if errors else lambda fn, *args: fn(*args)
+        self.agree = agree
 
     def check(self, *args):
         """Kernel and reference agree on ``args``."""
-        assert self.read(self.kernel, *args) == self.read(self.reference, *args), args
+        assert self.agree(self.read(self.kernel, *args), self.read(self.reference, *args)), args
 
     def run(self):
         """Check every pin, then ``examples`` draws."""
@@ -225,6 +237,10 @@ EXACT = [
     ("III(alpha=7667438/1615597,beta=95/97,n=4)", "III(alpha=36406/43,beta=7/97,n=1)", F(1)),
     ("III(alpha=8,beta=90/97,n=4)", "III(alpha=3510483/3898,beta=11/97,n=4)",
      F(28376135, 454022468)),
+    # A dense lattice against a sparse one, answered in a few candidates
+    # only because the walk on level 0 starts past |x| = d: below it every
+    # point lies within |x| of 0 in the other group.
+    ("I(alpha=2000001/2)", "I(alpha=1/10000000)", F(2000001, 2000002)),
 ]
 
 
@@ -237,14 +253,14 @@ def both_ways(H, K):
     return chabauty_distance(H, K, TOL), chabauty_distance(K, H, TOL)
 
 
-def _drawn_pairs():
-    """500 seeded pairs of every family, with numerators and denominators up
-    to 10^5, and more of family III, where the two sides cost the most
-    unequally; at this size none reaches the work cap."""
-    rng = random.Random(25)
+def drawn_pairs(count, bound, seed):
+    """``count`` seeded pairs of every family, with numerators and
+    denominators up to ``bound``, and more of family III, where the two
+    sides cost the most unequally."""
+    rng = random.Random(seed)
 
     def q():
-        return F(rng.randint(1, 10**5), rng.randint(1, 10**5))
+        return F(rng.randint(1, bound), rng.randint(1, bound))
 
     def group():
         family, n = rng.randrange(6), rng.randint(1, 6)
@@ -256,7 +272,50 @@ def _drawn_pairs():
             return TypeI(INF) if rng.random() < 0.5 else TypeIV(n)
         return TypeIII(q(), q() % 1, n)
 
-    return [(group(), group()) for _ in range(500)]
+    return [(group(), group()) for _ in range(count)]
+
+
+#: The benchmark's metric-close ladder, and the mirror x -> -x of each pair
+#: it changes; the last two are its headline pairs.
+LADDER = [
+    ("I(alpha=10)", "I(alpha=11)"), ("I(alpha=20)", "I(alpha=21)"),
+    ("I(alpha=40)", "I(alpha=41)"), ("I(alpha=5)", "I(alpha=6)"),
+    ("I(alpha=15)", "I(alpha=16)"),
+    ("III(alpha=2,beta=0,n=1)", "III(alpha=3,beta=0,n=1)"),
+    ("III(alpha=3,beta=0,n=1)", "III(alpha=4,beta=0,n=1)"),
+    ("III(alpha=4,beta=0,n=1)", "III(alpha=5,beta=0,n=1)"),
+    ("III(alpha=3,beta=0,n=2)", "III(alpha=4,beta=0,n=2)"),
+    ("III(alpha=4,beta=1/3,n=1)", "III(alpha=5,beta=2/5,n=1)"),
+    ("III(alpha=4,beta=-1/3,n=1)", "III(alpha=5,beta=-2/5,n=1)"),
+    ("III(alpha=2,beta=1/2,n=1)", "III(alpha=3,beta=1/3,n=1)"),
+    ("III(alpha=2,beta=-1/2,n=1)", "III(alpha=3,beta=-1/3,n=1)"),
+    ("III(alpha=5,beta=1/5,n=1)", "III(alpha=6,beta=1/6,n=1)"),
+    ("III(alpha=5,beta=-1/5,n=1)", "III(alpha=6,beta=-1/6,n=1)"),
+    ("II(gamma=1/10,n=1)", "II(gamma=1/11,n=1)"),
+    ("II(gamma=-1/10,n=1)", "II(gamma=-1/11,n=1)"),
+    ("I(alpha=inf)", "IV(n=1)"), ("I(alpha=inf)", "I(alpha=5)"),
+    ("I(alpha=inf)", "III(alpha=10,beta=0,n=1)"), ("IV(n=1)", "III(alpha=5,beta=0,n=1)"),
+    ("IV(n=2)", "III(alpha=3,beta=1/2,n=1)"), ("IV(n=1)", "IV(n=2)"),
+    ("I(alpha=inf)", "II(gamma=1/2,n=1)"), ("I(alpha=inf)", "II(gamma=-1/2,n=1)"),
+    ("IV(n=3)", "III(alpha=2,beta=1/3,n=3)"), ("IV(n=3)", "III(alpha=2,beta=-1/3,n=3)"),
+    ("III(alpha=20,beta=0,n=1)", "III(alpha=21,beta=0,n=1)"),
+    ("I(alpha=1000)", "I(alpha=1001)"),
+]
+
+
+def in_both_orders(distance, witness):
+    """The outcomes of a kernel's distance and witness on (H, K), then on
+    (K, H)."""
+    return lambda H, K: tuple(outcome(fn, *pair) for pair in ((H, K), (K, H))
+                              for fn in (distance, witness))
+
+
+def answered_alike(got, want):
+    """Each outcome the same, except where the reference refuses: there the
+    kernel may answer, as its walk on level 0 starts at a floor where the
+    earlier kernel's started at 0, so it spends no more work."""
+    return all(g == w or isinstance(w, Refusal) and not isinstance(g, Refusal)
+               for g, w in zip(got, want))
 
 
 def witness_values(H, K):
@@ -386,8 +445,22 @@ ENTRIES = {
     "distance-symmetric": Entry(
         lambda H, K: chabauty_distance(H, K, TOL), lambda H, K: chabauty_distance(K, H, TOL),
         errors=True,
-        pins=[(parse_subgroup(left), parse_subgroup(right)) for left, right, _ in EXACT[-2:]]
-        + [(TypeI(F(2000001, 2)), TypeI(F(1, 10**7)))] + _drawn_pairs()),
+        # the last rows of EXACT: two pairs ordered by their bounds, and the
+        # pair answered through the level-0 floor
+        pins=[(parse_subgroup(left), parse_subgroup(right)) for left, right, _ in EXACT[-3:]]
+        # refused over the work cap in either order
+        + [(TypeII(F(0), 1), TypeII(F(1, 10**12), 1))]
+        # at this size none reaches the work cap
+        + drawn_pairs(500, 10**5, 25)),
+    # the kernel against the earlier one it replaced: value, witness point
+    # and side, and refusal, in both argument orders
+    "distance-parent": Entry(
+        in_both_orders(lambda H, K: chabauty_distance(H, K, TOL), distance_witness),
+        in_both_orders(distance_parent.distance, distance_parent.witness), agree=answered_alike,
+        pins=[(parse_subgroup(left), parse_subgroup(right)) for left, right in LADDER]
+        + [(TypeII(F(0), 1), TypeII(F(1, 10**1000), 1))]  # refused by both
+        # small numbers too, where equal scores and long class walks are common
+        + drawn_pairs(2500, 300, 26) + drawn_pairs(2500, 10**5, 27) + drawn_pairs(2000, 30, 28)),
     "subset": Entry(subgroup_subset, reference_subset, draws=pairs, examples=300),
     "distance-inclusion": Entry(
         lambda H, K: chabauty_distance(H, K, TOL), by_inclusion, draws=pairs, examples=300,

@@ -73,8 +73,8 @@ def work_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz"))
 
 
-# Pinned: distances that need the level bound, the stop at 1 or the work
-# cap, the exact winding count over its cap, a sequence file that is not
+# Pinned: distances that need the level bound, the stop at 1, the floor of
+# the walk on level 0 or the work cap, the exact winding count over its cap, a sequence file that is not
 # UTF-8, a negative rational tolerance, and help.
 @settings(max_examples=150, deadline=5000,
           suppress_health_check=[HealthCheck.too_slow])
@@ -84,6 +84,7 @@ def work_dir(tmp_path_factory):
 @example((["dist", "III(alpha=1000000,beta=0,n=1)", "II(gamma=0,n=1)"], b""))
 @example((["dist", "III(alpha=100000,beta=0,n=1)", "II(gamma=1/3,n=1)"], b""))
 @example((["dist", "I(alpha=2000001/2)", "I(alpha=1/10000000)"], b""))
+@example((["dist", "II(gamma=0,n=1)", "II(gamma=1/1000000000000,n=1)"], b""))
 @example((["dist", "IV(n=1)", "III(alpha=10000000000,beta=0,n=1)"], b""))
 @example((["dist", "gen[(0,-58),(1128827/62,0)]",
            "gen[(0,-58),(-131071,0),(62/9487797032,0)]"], b""))

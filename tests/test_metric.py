@@ -23,7 +23,7 @@ from chabauty_rz import (
     verify_limit,
 )
 
-from chabauty_rz.metric import _common_levels
+from chabauty_rz.metric import _levels
 from chabauty_rz.subgroups import from_levels, int_levels
 from chabauty_rz.suites import run_suite
 
@@ -35,8 +35,8 @@ from strategies import generator_lists_st, subgroups_st
 def same_group_rescaled(draw):
     """A group and itself, read back from its levels at a larger scale."""
     H = draw(subgroups_st())
-    L = int_levels(H)
-    return H, from_levels(L.over(draw(st.integers(2, 6)) * L.scale))
+    L, k = int_levels(H), draw(st.integers(2, 6))
+    return H, from_levels(L._replace(scale=k * L.scale, g=k * L.g, q=k * L.q))
 
 
 class TestHandDistances:
@@ -77,21 +77,27 @@ class TestExactDistances:
     def test_same_answer_in_either_argument_order(self):
         ENTRIES["distance-symmetric"].run()
 
+    def test_same_answer_as_the_earlier_kernel(self):
+        ENTRIES["distance-parent"].run()
+
     def test_distance_over_the_work_cap_raises(self):
-        # A dense lattice against a sparse one: d is near 1 but not 1, and
-        # the walk along level 0 would visit about 2 * 10^6 points, in
-        # either argument order.
-        H, K = TypeI(F(2000001, 2)), TypeI(F(1, 10**7))
+        # One point per level against one point per level, at x = 0 and
+        # x = m/10^12 on level m: d is about 10^-6, attained near level
+        # 10^6, and the level loop would walk there one level at a time, at
+        # 2 units per level, in either argument order.
+        H, K = TypeII(F(0), 1), TypeII(F(1, 10**12), 1)
+        start = time.perf_counter()
         for left, right in ((H, K), (K, H)):
             with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
                 chabauty_distance(left, right, TOL)
+        assert time.perf_counter() - start < 10
 
     def test_work_is_charged_by_the_size_of_the_scale(self):
-        # The same shape of pair with 1000-digit literals: each candidate
-        # costs 52 units at a scale of 3320 bits, so the refusal comes
-        # after about 19000 candidates, not 10^6, in either argument order.
-        p = 10**999
-        H, K = TypeI(F(2 * p + 1, 2)), TypeI(F(1, 10**1007))
+        # The same shape of pair with a 1000-digit literal: each level and
+        # its point cost 52 units each at a scale of 3322 bits, so the
+        # refusal comes after about 9600 levels, not 5 * 10^5, in either
+        # argument order.
+        H, K = TypeII(F(0), 1), TypeII(F(1, 10**1000), 1)
         start = time.perf_counter()
         for left, right in ((H, K), (K, H)):
             with pytest.raises(InvalidParameter, match=str(MAX_BALL_POINTS)):
@@ -172,7 +178,7 @@ class TestSubsetFastPath:
     @given(st.one_of(st.tuples(subgroups_st(), subgroups_st()), same_group_rescaled()))
     def test_equal_levels_at_the_common_scale_are_equal_groups(self, pair):
         H, K = pair
-        A, B = _common_levels(H, K)
+        _, A, B = _levels(H, K)
         assert (A == B) == (H == K)
         assert (chabauty_distance(H, K, TOL).hi == 0) == (H == K)
 
