@@ -129,7 +129,7 @@ def chart_psi_II_n(n: int, p: EarringPoint) -> ClosedSubgroup:
 
 def chart_psi_II_n_inverse(n: int, H: ClosedSubgroup) -> EarringPoint:
     """Inverse on the chart's image: requires n to divide the cyclic level."""
-    n = as_int(n, "n")
+    n = at_least(n, "n", 1)
     if isinstance(H, TypeI) and not H.alpha:
         return BASEPOINT
     if not isinstance(H, TypeII) or H.n % n:

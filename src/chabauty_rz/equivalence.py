@@ -19,9 +19,10 @@ against canonical equality of the chart images.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Tuple, Union
 
-from .rationals import Record, as_fraction, as_int, as_pair, at_least
+from .rationals import Record, as_fraction, as_pair, at_least
 from .earring import AxisCoord, OnCircle, chart_psi_II_n
 from .subgroups import ClosedSubgroup, InvalidParameter, TypeI
 
@@ -53,22 +54,31 @@ class BoundaryCoord(Record):
 Coordinate = Tuple[int, Union[AxisCoord, BoundaryCoord]]
 
 
-def _classify(coord: Coordinate):
+def _read(coord: Coordinate):
+    """The level k >= 0 and the point of a coordinate; an axis point lives
+    at level 0."""
     k, c = as_pair(coord, "a coordinate is a pair (level, point)")
     k = at_least(k, "level", 0)
     if isinstance(c, AxisCoord):
         if k != 0:
             raise InvalidParameter("axis coordinates live at level 0")
+    elif not isinstance(c, BoundaryCoord):
+        raise InvalidParameter(f"not a coordinate: {c!r}")
+    return k, c
+
+
+def _classify(coord: Coordinate):
+    k, c = _read(coord)
+    if isinstance(c, AxisCoord):
         if not c.alpha:
             return ("basepoint",)
         return ("axis", c.alpha)
-    if isinstance(c, BoundaryCoord):
-        if c.rational is None or c.t is None or k == 0:
-            return ("basepoint",)
-        # the cyclic group Z(b*t, b*k) is named by b*k and t/k
-        slope = Fraction(c.t.numerator, c.t.denominator * k)
-        return ("cyclic", c.rational.denominator * k, slope.numerator, slope.denominator)
-    raise InvalidParameter(f"not a coordinate: {c!r}")
+    if c.rational is None or c.t is None or k == 0:
+        return ("basepoint",)
+    # the cyclic group Z(b*t, b*k) is named by b*k and t/k in lowest terms
+    num, den = c.t.numerator, c.t.denominator * k
+    g = gcd(num, den)
+    return ("cyclic", c.rational.denominator * k, num // g, den // g)
 
 
 def check_equivalence(a: Coordinate, b: Coordinate) -> bool:
@@ -78,12 +88,9 @@ def check_equivalence(a: Coordinate, b: Coordinate) -> bool:
 
 def subgroup_image(coord: Coordinate) -> ClosedSubgroup:
     """Chart image of a coordinate, for cross-checking the relation."""
-    k, c = as_pair(coord, "a coordinate is a pair (level, point)")
-    k = as_int(k, "level")
+    k, c = _read(coord)
     if isinstance(c, AxisCoord):
         return TypeI(c.alpha)
-    if not isinstance(c, BoundaryCoord):
-        raise InvalidParameter(f"not a coordinate: {c!r}")
     if c.rational is None or c.t is None or k == 0:
         return TypeI(Fraction(0))
     return chart_psi_II_n(k, OnCircle(c.rational.denominator, c.t))

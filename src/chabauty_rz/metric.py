@@ -41,8 +41,10 @@ with an equal score.
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
-cover; it shares nothing with the critical-value computation and serves
-as its oracle.
+cover in ``Fraction`` arithmetic.  Its shortcut for H inside H2 is its
+own, ``reference_subset`` on ``membership`` and ``level_set``, so it
+shares nothing with the critical-value computation and serves as its
+oracle.
 """
 
 from __future__ import annotations
@@ -51,17 +53,22 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence
 
-from .rationals import Record, as_fraction, as_int
+from .rationals import INF, Record, as_fraction, as_int
 from .subgroups import (
     LINE,
     MAX_BALL_POINTS,
     ClosedSubgroup,
     InvalidParameter,
     PointRZ,
+    TypeI,
+    TypeII,
+    TypeIII,
+    TypeIV,
     distance_point_to_subgroup,
     elements_in_ball,
     int_levels,
     level_set,
+    membership,
 )
 
 
@@ -125,7 +132,7 @@ def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
     eps = as_fraction(eps)
     if eps <= 0:
         raise ToleranceInvalid("eps must be > 0")
-    if subgroup_subset(H, H2):
+    if reference_subset(H, H2):
         return True
     radius = 1 / eps
     ball = elements_in_ball(H, radius)
@@ -136,6 +143,26 @@ def hausdorff_inclusion_ok(H: ClosedSubgroup, H2: ClosedSubgroup, eps) -> bool:
         if not _strip_covered(strip.level, radius, H2, eps):
             return False
     return True
+
+
+def reference_subset(H: ClosedSubgroup, H2: ClosedSubgroup) -> bool:
+    """H subset of H2 in Fraction arithmetic: each generator of H (or its
+    line) lies in H2, by ``membership`` and ``level_set``."""
+    if isinstance(H, TypeI):
+        if H.alpha is INF:
+            return level_set(H2, 0) is LINE
+        if H.alpha == 0:
+            return membership(H2, (0, 0))
+        return membership(H2, (1 / H.alpha, 0))
+    if isinstance(H, TypeII):
+        return membership(H2, (H.gamma, H.n))
+    if isinstance(H, TypeIII):
+        return membership(H2, (1 / H.alpha, 0)) and membership(
+            H2, (H.beta / H.alpha, H.n)
+        )
+    if isinstance(H, TypeIV):
+        return isinstance(H2, TypeIV) and H.n % H2.n == 0
+    raise InvalidParameter(f"not a subgroup value: {H!r}")
 
 
 def _strip_covered(m: int, half_width: Fraction, H2: ClosedSubgroup, eps: Fraction) -> bool:
@@ -309,15 +336,18 @@ def _discrete_sup(D, A, B, top, bn, bd, work):
     Bg, Bq, Bn, Bl = B
     DD, cap = D * D, MAX_BALL_POINTS
     unit = (D.bit_length() + 63) // 64
-    wx, wm, tied = None, 0, ()
+    wx, wm = None, 0
 
     # Seed from A's generators; A is not inside B, so one of them scores > 0.
     # Also from level 0's points next to x = 1: there 1/|x| = 1 caps no
     # distance below 1, so they often score near the sup, which keeps the
-    # walk below short.  The distinct nonzero seeds are each charged once.
+    # walk below short.  The distinct nonzero seeds are each charged once,
+    # in the iteration order of their set: of equal best seeds the first
+    # wins, the rule that fixes which of equal points distance_witness
+    # returns.
     if Ag:
         near = D - D % Ag
-        for X in (Ag, near, near + Ag) if near > Ag else (Ag, near + Ag) if near else (Ag,):
+        for X in {Ag, near, near + Ag} - {0}:
             work += unit
             if work > cap:
                 raise _over_work_cap()
@@ -331,10 +361,7 @@ def _discrete_sup(D, A, B, top, bn, bd, work):
                 dist = X
             vn, vd = (D, X) if DD <= X * dist else (dist, D)
             if vn * bd > bn * vd:
-                bn, bd, wx, tied = vn, vd, X, ()
-            elif wx is not None and vn * bd == bn * vd:
-                tied += (X,)
-        seed = wx
+                bn, bd, wx = vn, vd, X
     if An:
         work += unit
         if work > cap:
@@ -450,11 +477,6 @@ def _discrete_sup(D, A, B, top, bn, bd, work):
             break
         m += An
         o = (o + Aq) % Ag if Ag else o + Aq
-    if tied and wx == seed and not wm:
-        # Equal best seeds, none beaten since: the witness is the first of
-        # them in the iteration order of this set, the rule that fixes which
-        # of equal points distance_witness returns.
-        wx = next(X for X in {Ag, near, near + Ag} - {0} if X == wx or X in tied)
     return None if wx is None else (bn, bd, wx, D, wm, work)
 
 

@@ -69,7 +69,10 @@ def as_int(x, name: str) -> int:
 
 def at_least(x, name: str, least: int) -> int:
     """The integer ``x`` read by ``as_int``; below ``least`` it is refused."""
-    x = as_int(x, name)
+    try:
+        x = index(x)  # as_int's read, inline: records read their counts here
+    except TypeError:
+        x = as_int(x, name)  # refuses x with as_int's message
     if x < least:
         raise InvalidParameter(f"{name} must be >= {least}")
     return x

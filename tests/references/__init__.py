@@ -30,6 +30,7 @@ from chabauty_rz import (
     totient, winding_count, winding_count_sampled)
 from chabauty_rz.denjoy import _first_unresolved, _winding, blowup_interval_start
 from chabauty_rz.literals import parse_rational
+from chabauty_rz.metric import reference_subset
 from chabauty_rz.oracle import lattice_basis
 from chabauty_rz.subgroups import LINE, distance_point_to_subgroup, int_levels, level_set
 
@@ -90,6 +91,10 @@ BENCH_KEYS = [(4096, 64), (4096, 128), (4096, 256)]
 _draw = random.Random(16)
 DRAWN_KEYS = [(_draw.randint(8, 6000), _draw.randint(12, 120)) for _ in range(6)]
 
+#: Keys whose least unresolved sample lies before the middle of I_{1/2}, in
+#: the forward half of the walk.
+FORWARD_KEYS = {(4096, 50): 1773, (4096, 127): 1733}
+
 #: Keys whose least unresolved sample lies past the middle of I_{1/2}, in
 #: the half of the walk that runs over the mirrors.
 MIRRORED_KEYS = {(4096, 62): 3039, (4096, 113): 3023, (4096, 156): 3479}
@@ -98,7 +103,8 @@ MIRRORED_KEYS = {(4096, 62): 3039, (4096, 113): 3023, (4096, 156): 3479}
 def _stage_one_keys():
     rng = random.Random(15)
     drawn = {(rng.randint(8, 6000), rng.randint(1, 120)) for _ in range(1550)}
-    return BENCH_KEYS + list(MIRRORED_KEYS) + sorted(drawn, key=lambda key: key[1])
+    return (BENCH_KEYS + list(FORWARD_KEYS) + list(MIRRORED_KEYS)
+            + sorted(drawn, key=lambda key: key[1]))
 
 
 def _coarse_keys():
@@ -348,26 +354,6 @@ def by_inclusion(H, K):
     eps = d + F(1, 10**9)
     holds = hausdorff_inclusion_ok(H, K, eps) and hausdorff_inclusion_ok(K, H, eps)
     return DistanceBracket(d, d) if breaks and holds else None
-
-
-def reference_subset(H, H2) -> bool:
-    """H subset of H2 in Fraction arithmetic: each generator of H (or its
-    line) lies in H2, by ``membership`` and ``level_set``."""
-    if isinstance(H, TypeI):
-        if H.alpha is INF:
-            return level_set(H2, 0) is LINE
-        if H.alpha == 0:
-            return True
-        return membership(H2, (1 / H.alpha, 0))
-    if isinstance(H, TypeII):
-        return membership(H2, (H.gamma, H.n))
-    if isinstance(H, TypeIII):
-        return membership(H2, (1 / H.alpha, 0)) and membership(
-            H2, (H.beta / H.alpha, H.n)
-        )
-    if isinstance(H, TypeIV):
-        return isinstance(H2, TypeIV) and H.n % H2.n == 0
-    raise TypeError(f"not a subgroup value: {H!r}")
 
 
 pairs = st.tuples(subgroups_st(), subgroups_st())

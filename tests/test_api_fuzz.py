@@ -25,8 +25,10 @@ from chabauty_rz import (
     OnCircle,
     ParseError,
     TypeI,
+    TypeII,
     Unresolved,
     chabauty_distance,
+    chart_psi_II_n_inverse,
     classify_from_generators,
     elements_in_ball,
     format_subgroup,
@@ -73,6 +75,8 @@ def calls(draw):
 @example((elements_in_ball, ("x", 1)))
 @example((chabauty_distance, ("x", TypeI(1), 1)))
 @example((format_subgroup, ("x",)))
+@example((chart_psi_II_n_inverse, (0, TypeII(1, 2))))
+@example((chart_psi_II_n_inverse, (-1, TypeII(1, 2))))
 def test_every_call_answers_or_refuses(call):
     fn, args = call
     try:

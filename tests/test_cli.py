@@ -27,9 +27,12 @@ class TestClassify:
         assert out.strip() == "I(alpha=6)"
 
     def test_canonicalizes(self):
-        code, out = run(["classify", "III(alpha=1,beta=7/2,n=-1)"])
-        assert code == 0
-        assert out.strip() == "III(alpha=1,beta=1/2,n=1)"
+        for literal, canonical in [
+            ("III(alpha=1,beta=7/2,n=-1)", "III(alpha=1,beta=1/2,n=1)"),
+            # printed from the record's fields: beta mod 1 after the sign flip
+            ("III(alpha=2,beta=7/3,n=-2)", "III(alpha=2,beta=2/3,n=2)"),
+        ]:
+            assert run(["classify", literal]) == (0, canonical + "\n")
 
     def test_parse_error_exit_code(self):
         code, _ = run(["classify", "V(n=1)"])
@@ -164,12 +167,17 @@ class TestWind:
         assert run(["wind", "--cone", "2", "--circle", "6"]) == (0, "2\n")
         assert run(["wind", "--cone", "2", "--circle", "5"]) == (0, "0\n")
 
-    def test_sampled(self):
-        code, out = run(
-            ["wind", "--cone", "2", "--circle", "4", "--sampled",
-             "--grid", "1024", "--prec", "64"]
-        )
-        assert (code, out) == (0, "1\n")
+    def test_sampled(self, capsys):
+        for cone, circle, grid, prec, want in [
+            (2, 4, 1024, 64, (0, "1\n", "")),
+            (1, 1, 4096, 512, (0, "1\n", "")),  # the largest precision, over its half layout
+            (2, 4, 4096, 255, (0, "1\n", "")),  # an odd precision, through the mirrored layout
+            (1, 1, 64, 1,
+             (1, "", "UnresolvedSample: grid point 33/64 unresolved at precision 1\n")),
+        ]:
+            argv = ["wind", "--cone", str(cone), "--circle", str(circle), "--sampled",
+                    "--grid", str(grid), "--prec", str(prec)]
+            assert (*run(argv), capsys.readouterr().err) == want, argv
 
     def test_domain_error(self):
         code, _ = run(["wind", "--cone", "0", "--circle", "3"])

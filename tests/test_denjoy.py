@@ -39,7 +39,7 @@ from chabauty_rz.denjoy import (
     blowup_interval_start,
 )
 
-from references import ENTRIES, MIRRORED_KEYS, first_unresolved, outcome
+from references import ENTRIES, FORWARD_KEYS, MIRRORED_KEYS, first_unresolved, outcome
 from references.blowup import full_layout, gap_band, mirrored_points, ref_layout, ref_wind
 
 
@@ -324,6 +324,10 @@ class TestKernelAgainstLoops:
         ENTRIES["stage-one"].run()
         keys = ENTRIES["stage-one"].pins
         assert len(keys) >= 1500
+        for (grid, B), j in FORWARD_KEYS.items():
+            lay = _layout(B)
+            assert 2 * j * lay.total < lay.fold * grid  # before the middle
+            assert first_unresolved(grid, B) == j
         for (grid, B), j in MIRRORED_KEYS.items():
             lay = _layout(B)
             assert 2 * j * lay.total > lay.fold * grid  # past the middle

@@ -51,10 +51,17 @@ class TestRelation:
                 assert check_equivalence(a, b)
 
     def test_level_validation(self):
-        with pytest.raises(InvalidParameter):
-            check_equivalence((-1, BoundaryCoord(None, None)), (0, AxisCoord(F(1))))
-        with pytest.raises(InvalidParameter):
-            check_equivalence((1, AxisCoord(F(1))), (0, AxisCoord(F(1))))
+        # both entry points read a coordinate alike, with the same message
+        for coord, message in [
+            ((-1, AxisCoord(F(1))), "level must be >= 0"),
+            ((2, AxisCoord(F(1))), "axis coordinates live at level 0"),
+            ((-1, BoundaryCoord(None, None)), "level must be >= 0"),
+            ((1, AxisCoord(F(1))), "axis coordinates live at level 0"),
+        ]:
+            for call in (lambda: subgroup_image(coord),
+                         lambda: check_equivalence(coord, (0, AxisCoord(F(1))))):
+                with pytest.raises(InvalidParameter, match=f"^{message}$"):
+                    call()
 
     def test_coordinate_validation(self):
         with pytest.raises(InvalidParameter):

@@ -18,16 +18,18 @@ from chabauty_rz import (
     TypeIV,
     classify_from_generators,
     chabauty_distance,
+    elements_in_ball,
     hausdorff_inclusion_ok,
     subgroup_subset,
     verify_limit,
 )
 
-from chabauty_rz.metric import _levels
-from chabauty_rz.subgroups import from_levels, int_levels
+from chabauty_rz.metric import _levels, reference_subset
+from chabauty_rz.subgroups import (
+    LINE, distance_point_to_subgroup, from_levels, int_levels, level_set)
 from chabauty_rz.suites import run_suite
 
-from references import ENTRIES, TOL, reference_subset
+from references import ENTRIES, TOL
 from strategies import generator_lists_st, subgroups_st
 
 
@@ -183,10 +185,16 @@ class TestSubsetFastPath:
         assert (chabauty_distance(H, K, TOL).hi == 0) == (H == K)
 
     @settings(max_examples=80, deadline=None)
-    @given(subgroups_st(), subgroups_st())
-    def test_subset_gives_one_sided_zero(self, H, K):
-        if subgroup_subset(H, K):
-            assert hausdorff_inclusion_ok(H, K, F(1, 50))
+    @given(subset_pairs_st())
+    def test_subset_gives_one_sided_zero(self, pair):
+        # the oracle's ball route, past its shortcut: each point of H's ball
+        # lies in K, and each strip is a line of K
+        H, K = pair
+        ball = elements_in_ball(H, 4)
+        for X, m in ball.points:
+            assert distance_point_to_subgroup((F(X, ball.scale), m), K) == 0
+        for strip in ball.strips:
+            assert level_set(K, strip.level) is LINE
 
     def test_matches_reference_on_drawn_pairs(self):
         ENTRIES["subset"].run()

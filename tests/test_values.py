@@ -26,6 +26,7 @@ from chabauty_rz.earring import (
     Basepoint,
     ConePoint,
     OnCircle,
+    chart_psi_II_n_inverse,
     winding_count,
 )
 from chabauty_rz.equivalence import BoundaryCoord
@@ -208,6 +209,10 @@ REFUSED = [
     ("elements_in_ball('x', 1)", "TypeError", "not a subgroup value: 'x'"),
     ("chabauty_distance('x', TypeI(1), 1)", "TypeError", "not a subgroup value: 'x'"),
     ("format_subgroup('x')", "TypeError", "not a subgroup value: 'x'"),
+    ("chart_psi_II_n_inverse(0, TypeII(1, 2))", "ZeroDivisionError", "n must be >= 1"),
+    ("chart_psi_II_n_inverse(-1, TypeII(1, 2))", "OnCircle: circle index must be >= 1",
+     "n must be >= 1"),
+    ("chart_psi_II_n_inverse(0, TypeI(0))", "BASEPOINT", "n must be >= 1"),
 ]
 
 
