@@ -67,8 +67,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .rationals import Record, as_fraction, as_int, at_least
-from .earring import BASEPOINT, EarringPoint, OnCircle
+from .rationals import Record, as_fraction, at_least
+from .earring import BASEPOINT, EarringPoint, OnCircle, cone_and_circle
 from .subgroups import InvalidParameter
 
 #: Largest working precision B accepted (the layout then has about 40 000
@@ -451,9 +451,7 @@ def winding_count_sampled(k: int, m: int, grid: int, max_denominator: int) -> in
     grid = at_least(grid, "grid", 8)
     if grid > MAX_GRID:
         raise InvalidParameter(f"grid must be <= {MAX_GRID}")
-    k, m = as_int(k, "cone index"), as_int(m, "circle index")
-    if k <= 0 or m <= 0:
-        raise InvalidParameter("cone and circle indices must be >= 1")
+    k, m = cone_and_circle(k, m)
     max_denominator = _check_precision(max_denominator)
     bad = _first_unresolved(grid, max_denominator)
     if bad is not None:

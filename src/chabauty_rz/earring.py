@@ -198,6 +198,14 @@ MAX_CIRCLES = 1000
 MAX_CONES = 64
 
 
+def cone_and_circle(k, m):
+    """The cone index k and circle index m as ints, each >= 1."""
+    k, m = as_int(k, "cone index"), as_int(m, "circle index")
+    if k <= 0 or m <= 0:
+        raise InvalidParameter("cone and circle indices must be >= 1")
+    return k, m
+
+
 def winding_count(k: int, m: int) -> int:
     """How many times the glued boundary of cone k covers circle A_m.
 
@@ -206,9 +214,7 @@ def winding_count(k: int, m: int) -> int:
     lowest-terms rationals a/b in [0, 1) with k*b = m.  m/k above
     ``MAX_WIND_RATIO`` raises ``InvalidParameter``.
     """
-    k, m = as_int(k, "cone index"), as_int(m, "circle index")
-    if k <= 0 or m <= 0:
-        raise InvalidParameter("cone and circle indices must be >= 1")
+    k, m = cone_and_circle(k, m)
     if m > k * MAX_WIND_RATIO:
         raise InvalidParameter(f"circle / cone must be <= {MAX_WIND_RATIO}")
     if m % k:

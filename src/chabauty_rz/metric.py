@@ -23,10 +23,10 @@ at scale D.  So d is always rational; ``chabauty_distance`` builds one
 ``distance_witness`` builds a point only for the side it returns.
 ``subgroup_subset`` reads the same levels.
 
-The work is bounded, and for ``chabauty_distance`` it does not depend on
-the argument order.  Both sides are bounded first: no point scores over
-1, nor over (s // 2) / D when the other group holds each level as a
-lattice of spacing s, and a strip's side is known in closed form.  A
+The work, the distance and its witness do not depend on the argument
+order.  Both sides are bounded first: no point scores over 1, nor
+over (s // 2) / D when the other group holds each level as a lattice
+of spacing s, and a strip's side is known in closed form.  A
 strip's side comes first, as it needs no search; then the side with the
 larger bound, and on equal bounds the side of the lesser levels,
 whichever argument they came in.  The other side is skipped when its
@@ -36,8 +36,8 @@ score.  A search skips what cannot win: on level 0 the other group holds
 |x| = the best score so far (the level-0 floor).  Both searches draw on
 one budget: each visited level and candidate point costs one unit per
 64-bit word of D, and past ``MAX_BALL_POINTS`` units the distance raises
-``InvalidParameter``.  A tie goes to S(H, H'): searched second, it wins
-with an equal score.
+``InvalidParameter``.  A tie goes to the side searched first: the other
+side is searched only for a greater score.
 
 ``hausdorff_inclusion_ok`` stays the exact decision of the one-sided
 predicate at a given eps, computed by ball enumeration and interval
@@ -252,13 +252,11 @@ class Witness(NamedTuple):
     outer: ClosedSubgroup
 
 
-def _larger_side(D, H, K, ties: bool = True):
+def _larger_side(D, H, K):
     """The larger of S(H, K) and S(K, H), for the bases H and K of
     ``_levels`` at the common scale D, and whether it is S(K, H), in the
-    order of the module docstring; a side is (num, den, X, W, m) for the
-    score num/den attained at (X/W, m).  A tie gives S(H, K), unless
-    ``ties`` is False: then only the value counts, and an equal side is
-    skipped.
+    order and with the tie rule of the module docstring; a side is
+    (num, den, X, W, m) for the score num/den attained at (X/W, m).
 
     Each side is bounded before any search.  Only the level of the other
     group through p matters: any other level is at height distance >= 1,
@@ -295,12 +293,9 @@ def _larger_side(D, H, K, ties: bool = True):
         side = _discrete_sup(D, H, K, htop, 0, 1, 0)
         work = side[5]
     bn, bd = side[0], side[1]
-    tie = ties and swapped  # an equal score wins for S(H, K), searched second
-    if kh is None and ktop * bd - bn * kden + tie > 0:
-        low = tie and bn > 0  # then search from just below the score
-        W = bd * kden if low else 1
-        kh = _discrete_sup(D, K, H, ktop, bn * W - low, bd * W, work)
-    if kh is not None and kh[0] * bd - bn * kh[1] + tie > 0:
+    if kh is None and ktop * bd > bn * kden:
+        kh = _discrete_sup(D, K, H, ktop, bn, bd, work)
+    if kh is not None and kh[0] * bd > bn * kh[1]:
         return kh, not swapped
     return side, swapped
 
@@ -402,8 +397,8 @@ def _discrete_sup(D, A, B, top, bn, bd, work):
             mD, oB = m * D, k * Bq % Bg if Bg else k * Bq
             if Ag and not empty and 0 < period <= 2 * D * bd // (bn * Ag) + 2:
                 # Classes by their distance t to B's level, largest first:
-                # X = o + g*k lies at t iff g*k = oB +- t - o (mod s), and a
-                # class scores at most t/D.  The t in [1, s // 2] with
+                # X = o + g*k lies at t iff g*k = oB +- t - o (mod s), so a
+                # class scores min(D/a, t/D).  The t in [1, s // 2] with
                 # t = +-r (mod h) form two progressions of step h that
                 # interleave, so going down the steps alternate between
                 # their gap and h minus it (h alone for one progression).
@@ -427,10 +422,7 @@ def _discrete_sup(D, A, B, top, bn, bd, work):
                             a = X if X >= 0 else -X
                             if a < mD:
                                 a = mD
-                            dist = (X - oB) % Bg
-                            if 2 * dist > Bg:
-                                dist = Bg - dist
-                            vn, vd = (D, a) if DD <= a * dist else (dist, D)
+                            vn, vd = (D, a) if DD <= a * t else (t, D)
                             if vn * bd > bn * vd:
                                 bn, bd, wx, wm = vn, vd, X, m
                     t -= step
@@ -512,10 +504,10 @@ def _strip_sup(D, An, Bg, Bn, Bl):
 
 
 def distance_witness(H: ClosedSubgroup, H2: ClosedSubgroup) -> Witness:
-    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)): the sides
-    are bounded, a strip's side or the larger bound taken first, the other
-    skipped when it cannot win or else searched from the first score, on
-    one budget.  A tie gives S(H, H2): second, it wins with an equal score."""
+    """The larger side of d(H, H2) = max(S(H, H2), S(H2, H)), found by the
+    one search of ``chabauty_distance``, with a point attaining it.  The
+    search order and its tie rule are in the module docstring; the same
+    ``Witness`` comes back in either argument order."""
     side, swapped = _larger_side(*_levels(H, H2))
     num, den, X, W, m = side[:5]
     point = PointRZ(Fraction(X, W), m) if num else None
@@ -535,7 +527,7 @@ def chabauty_distance(H: ClosedSubgroup, H2: ClosedSubgroup, tol) -> DistanceBra
     """
     if as_fraction(tol).numerator <= 0:
         raise ToleranceInvalid("tol must be > 0")
-    side = _larger_side(*_levels(H, H2), False)[0]
+    side = _larger_side(*_levels(H, H2))[0]
     d = Fraction(side[0], side[1])
     return DistanceBracket(d, d)
 

@@ -427,9 +427,10 @@ ENTRIES = {
                             pins=EXACT),
     "witness-exact": Entry(parsed(witness_values), parsed(witness_by_oracle), pins=EXACT),
     "witness": Entry(witness_values, witness_by_oracle, draws=pairs, examples=300),
-    # the same value, or the same refusal, in either argument order
+    # the same value and witness, or the same refusal, in either argument order
     "distance-symmetric": Entry(
-        lambda H, K: chabauty_distance(H, K, TOL), lambda H, K: chabauty_distance(K, H, TOL),
+        lambda H, K: (chabauty_distance(H, K, TOL), distance_witness(H, K)),
+        lambda H, K: (chabauty_distance(K, H, TOL), distance_witness(K, H)),
         errors=True,
         # the last rows of EXACT: two pairs ordered by their bounds, and the
         # pair answered through the level-0 floor

@@ -36,7 +36,7 @@ def distance(H, K) -> DistanceBracket:
 
 def witness(H, K) -> Witness:
     """``distance_witness`` on the earlier kernel."""
-    side, swapped = _larger_side(*common_levels(H, K))
+    side, swapped = _larger_side(*common_levels(H, K), ties=False)
     return _witness(side, K, H) if swapped else _witness(side, H, K)
 
 
